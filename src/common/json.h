@@ -3,7 +3,7 @@
  * Shared JSON string escaping.
  *
  * Every JSON writer in the repo (runner reports, RunResult::toJson, the
- * metrics exposition, prof::writeJson, the sweep_all bench record) quotes
+ * metrics exposition, the sweep_all bench record) quotes
  * free-form text — labels, error messages, file paths — that can carry
  * quotes, backslashes and control characters.  This is the one escaping
  * implementation they all share, so a hostile trace name cannot corrupt

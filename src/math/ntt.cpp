@@ -10,8 +10,8 @@
 #include <bit>
 
 #include "common/check.h"
-#include "common/prof.h"
 #include "math/primes.h"
+#include "metrics/metrics.h"
 
 namespace ufc {
 
@@ -91,7 +91,9 @@ NttTable::NttTable(u64 n, u64 q, u64 psi)
 void
 NttTable::forward(u64 *a) const
 {
-    UFC_PROF_SCOPE("ntt.forward");
+    static metrics::Histogram &h = metrics::histogram(
+        "ufc_ntt_forward_ns", "host time per NttTable::forward call");
+    metrics::ScopedDurationNs timer(h);
     if (useIfma_)
         detail::ifmaForward(view_, a, scratchBuf(n_));
     else
@@ -101,7 +103,9 @@ NttTable::forward(u64 *a) const
 void
 NttTable::inverse(u64 *a) const
 {
-    UFC_PROF_SCOPE("ntt.inverse");
+    static metrics::Histogram &h = metrics::histogram(
+        "ufc_ntt_inverse_ns", "host time per NttTable::inverse call");
+    metrics::ScopedDurationNs timer(h);
     if (useIfma_)
         detail::ifmaInverse(view_, a, scratchBuf(n_));
     else

@@ -3,24 +3,26 @@
  * Process-wide metrics registry: counters, gauges, and log2-bucketed
  * histograms, with Prometheus text and `ufc.metrics/v1` JSON exposition.
  *
- * PR 3's observability made a single *run* explainable (per-opcode
- * attribution, timelines, UFC_PROFILE timers); this registry makes the
- * *system* observable: batch latency percentiles, cache hit rates,
- * thread-pool pressure, watchdog activity — the signals a long-lived
- * simulation service needs for admission control and monitoring.  The
- * instrumented layers are the runner job lifecycle, runner::ProgramCache,
- * sim::PhaseCache, trace::TraceReader, the shared ThreadPool, and the
- * engine watchdog poll/trip points.
+ * Per-opcode attribution and timelines explain the *simulated* machine;
+ * this registry is the one place the *simulator's* host side is timed
+ * and counted: batch latency percentiles, cache hit rates, thread-pool
+ * pressure, watchdog activity, and per-call kernel durations — the
+ * signals a long-lived simulation service needs for admission control
+ * and monitoring.  The instrumented layers are the runner job lifecycle,
+ * runner::ProgramCache, sim::PhaseCache, trace::TraceReader, the shared
+ * ThreadPool, the engine watchdog poll/trip points, and the NTT, CG-NTT
+ * and RNS polynomial kernels (`ufc_ntt_*_ns`, `ufc_cg_ntt_*_ns`,
+ * `ufc_rns_*_ns` duration histograms).
  *
- * ## Contract (same as UFC_PROFILE)
+ * ## Contract
  *
  * The layer is observation-only.  Metrics never influence scheduling,
  * caching decisions or any simulated observable: a run with metrics on is
  * bit-identical to a run with metrics off on cycles, energy, attribution,
- * timelines and error bytes (enforced by the `metrics` ctest label and
- * the CI metrics-differential job).  When off — the default — every
- * instrumentation site costs one relaxed atomic load and a predicted
- * branch.
+ * timelines, error bytes and kernel outputs (enforced by the `metrics`
+ * ctest label and the CI metrics-differential job).  When off — the
+ * default — every instrumentation site costs one relaxed atomic load and
+ * a predicted branch.
  *
  * ## Thread safety
  *
@@ -169,7 +171,8 @@ class Gauge
 };
 
 /**
- * Log2-bucketed histogram over u64 samples (typically microseconds).
+ * Log2-bucketed histogram over u64 samples (typically durations, in the
+ * unit the metric name's suffix states: `_us` or `_ns`).
  * Bucket i holds samples whose bit width is i: bucket 0 is exactly the
  * value 0, bucket i >= 1 covers [2^(i-1), 2^i - 1], and bucket 64 ends
  * at the maximum u64.  Recording is two relaxed fetch_adds; percentiles
@@ -275,30 +278,31 @@ void savePrometheus(const std::string &path);
  *  concurrent recorders beyond per-scalar atomicity. */
 void resetForTest();
 
-/** RAII timer recording its scope's duration in microseconds into a
- *  Histogram when metrics are on. */
-class ScopedDurationUs
+/** RAII timer recording its scope's duration in nanoseconds into a
+ *  Histogram when metrics are on (TFHE-size NTTs take a few µs, so
+ *  microsecond samples would land mostly in the lowest buckets). */
+class ScopedDurationNs
 {
   public:
-    explicit ScopedDurationUs(Histogram &h)
+    explicit ScopedDurationNs(Histogram &h)
         : hist_(enabled() ? &h : nullptr)
     {
         if (hist_)
             start_ = std::chrono::steady_clock::now();
     }
 
-    ~ScopedDurationUs()
+    ~ScopedDurationNs()
     {
         if (hist_) {
             const auto dt = std::chrono::steady_clock::now() - start_;
             hist_->record(static_cast<u64>(
-                std::chrono::duration_cast<std::chrono::microseconds>(dt)
+                std::chrono::duration_cast<std::chrono::nanoseconds>(dt)
                     .count()));
         }
     }
 
-    ScopedDurationUs(const ScopedDurationUs &) = delete;
-    ScopedDurationUs &operator=(const ScopedDurationUs &) = delete;
+    ScopedDurationNs(const ScopedDurationNs &) = delete;
+    ScopedDurationNs &operator=(const ScopedDurationNs &) = delete;
 
   private:
     Histogram *hist_;

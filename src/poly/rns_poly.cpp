@@ -15,8 +15,8 @@
 
 #include "common/check.h"
 #include "common/parallel.h"
-#include "common/prof.h"
 #include "math/ntt_cache.h"
+#include "metrics/metrics.h"
 
 namespace ufc {
 
@@ -48,14 +48,18 @@ RnsPoly::moduli() const
 void
 RnsPoly::toEval()
 {
-    UFC_PROF_SCOPE("rns.to_eval");
+    static metrics::Histogram &h = metrics::histogram(
+        "ufc_rns_to_eval_ns", "host time per RnsPoly::toEval call");
+    metrics::ScopedDurationNs timer(h);
     parallelFor(limbs_.size(), [&](size_t i) { limbs_[i].toEval(); });
 }
 
 void
 RnsPoly::toCoeff()
 {
-    UFC_PROF_SCOPE("rns.to_coeff");
+    static metrics::Histogram &h = metrics::histogram(
+        "ufc_rns_to_coeff_ns", "host time per RnsPoly::toCoeff call");
+    metrics::ScopedDurationNs timer(h);
     parallelFor(limbs_.size(), [&](size_t i) { limbs_[i].toCoeff(); });
 }
 
@@ -99,7 +103,9 @@ RnsPoly::scaleInPlace(u64 scalar)
 void
 RnsPoly::mulEvalInPlace(const RnsPoly &other)
 {
-    UFC_PROF_SCOPE("rns.mul_eval");
+    static metrics::Histogram &h = metrics::histogram(
+        "ufc_rns_mul_eval_ns", "host time per RnsPoly::mulEvalInPlace call");
+    metrics::ScopedDurationNs timer(h);
     UFC_CHECK(limbs_.size() == other.limbs_.size(), "limb count mismatch");
     parallelFor(limbs_.size(), [&](size_t i) {
         limbs_[i].mulEvalInPlace(other.limbs_[i]);
@@ -109,7 +115,9 @@ RnsPoly::mulEvalInPlace(const RnsPoly &other)
 void
 RnsPoly::fmaEval(const RnsPoly &a, const RnsPoly &b)
 {
-    UFC_PROF_SCOPE("rns.fma_eval");
+    static metrics::Histogram &h = metrics::histogram(
+        "ufc_rns_fma_eval_ns", "host time per RnsPoly::fmaEval call");
+    metrics::ScopedDurationNs timer(h);
     UFC_CHECK(limbs_.size() == a.limbs_.size() &&
               limbs_.size() == b.limbs_.size(), "limb count mismatch");
     parallelFor(limbs_.size(), [&](size_t i) {
@@ -120,7 +128,9 @@ RnsPoly::fmaEval(const RnsPoly &a, const RnsPoly &b)
 RnsPoly
 RnsPoly::automorphism(u64 k) const
 {
-    UFC_PROF_SCOPE("rns.automorphism");
+    static metrics::Histogram &h = metrics::histogram(
+        "ufc_rns_automorphism_ns", "host time per RnsPoly::automorphism call");
+    metrics::ScopedDurationNs timer(h);
     RnsPoly out;
     out.ctx_ = ctx_;
     out.limbs_.resize(limbs_.size());
@@ -140,7 +150,9 @@ RnsPoly::dropLastLimb()
 void
 RnsPoly::extendBasis(const std::vector<u64> &newModuli)
 {
-    UFC_PROF_SCOPE("rns.extend_basis");
+    static metrics::Histogram &h = metrics::histogram(
+        "ufc_rns_extend_basis_ns", "host time per RnsPoly::extendBasis call");
+    metrics::ScopedDurationNs timer(h);
     UFC_CHECK(form() == PolyForm::Coeff, "extendBasis requires Coeff form");
     const u64 n = degree();
     RnsBasis from(moduli());

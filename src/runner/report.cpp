@@ -11,7 +11,6 @@
 
 #include "common/error.h"
 #include "common/json.h"
-#include "common/prof.h"
 #include "metrics/metrics.h"
 
 namespace ufc {
@@ -125,15 +124,11 @@ writeJsonReport(const BatchResult &batch, std::ostream &os,
             os << ",";
         os << "\n" << ok[i].toJson();
     }
-    // Host-side observability blocks, appended only when the respective
-    // layer is on so metrics-off reports stay byte-stable.
+    // The host-side metrics block is appended only when the registry is
+    // on so metrics-off reports stay byte-stable.
     if (metrics::enabled()) {
         os << "\n],\"metrics\":";
         metrics::writeJson(os);
-        if (prof::enabled() && prof::hasSamples()) {
-            os << ",\"host_profile\":";
-            prof::writeJson(os);
-        }
         os << "}\n";
     } else {
         os << "\n]}\n";

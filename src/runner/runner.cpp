@@ -21,7 +21,6 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
-#include <iostream>
 #include <mutex>
 #include <thread>
 
@@ -31,7 +30,6 @@
 #include "common/error.h"
 #include "compiler/bytecode.h"
 #include "common/parallel.h"
-#include "common/prof.h"
 #include "metrics/flight_recorder.h"
 #include "metrics/metrics.h"
 #include "trace/serialize.h"
@@ -526,7 +524,6 @@ ExperimentRunner::runAll(const std::vector<Job> &jobs) const
 
     ThreadPool pool(effectiveThreads(jobs.size()));
     pool.parallelFor(jobs.size(), [&](std::size_t i) {
-        UFC_PROF_SCOPE("runner.job");
         // Cooperative cancellation (SIGINT/SIGTERM in sweep_all): jobs
         // not yet started are marked Skipped so the partial report
         // still accounts for every job, and in-flight siblings finish
@@ -592,8 +589,6 @@ ExperimentRunner::runAll(const std::vector<Job> &jobs) const
             }
         }
     });
-    if (cfg_.progress && prof::enabled() && prof::hasSamples())
-        prof::report(std::cerr);
     return batch;
 }
 

@@ -159,8 +159,7 @@ struct RunnerConfig
     /// Fill RunResult::hostSeconds with per-job wall-clock.
     bool measureHostTime = true;
     /// Emit one machine-readable status line to stderr as each job
-    /// finishes ("[jobs_done/jobs_total] <label> status=... ..."), plus
-    /// a host profile report after the batch when UFC_PROFILE is on.
+    /// finishes ("[jobs_done/jobs_total] <label> status=... ...").
     /// Lines are serialized under a mutex so concurrent completions
     /// cannot interleave characters.  Progress output never affects
     /// results (stderr only, completion order).

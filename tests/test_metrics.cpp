@@ -3,8 +3,8 @@
  * Metrics-layer tests: the process-wide registry (counters, gauges,
  * log2 histograms), the Prometheus / ufc.metrics-v1 expositions, the
  * flight recorder's wrap-around ordering, the ProgramCache eviction
- * bound, prof::writeJson, and the guarantee that turning metrics on
- * changes no simulated result.
+ * bound, the NTT/CG-NTT/RNS kernel duration histograms, and the
+ * guarantee that turning metrics on changes no simulated result.
  *
  * Run as `ctest -L metrics` (the `metrics_suite` aggregate target); the
  * CI metrics-differential job additionally runs it under TSan, which is
@@ -12,7 +12,9 @@
  */
 
 #include <atomic>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,9 +23,14 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
-#include "common/prof.h"
+#include "common/parallel.h"
+#include "common/rng.h"
 #include "metrics/flight_recorder.h"
+#include "math/cg_ntt.h"
+#include "math/ntt.h"
+#include "math/primes.h"
 #include "metrics/metrics.h"
+#include "poly/rns_poly.h"
 #include "runner/report.h"
 #include "runner/runner.h"
 #include "sim/accelerator.h"
@@ -654,70 +661,207 @@ TEST_F(MetricsTest, FailedJobWithMetricsOffHasNoEvents)
 }
 
 // ---------------------------------------------------------------------
-// prof::writeJson (satellite 3)
+// Kernel duration histograms
 // ---------------------------------------------------------------------
 
-TEST(ProfJson, SchemaAndOrdering)
+/** The ten instrumented kernel sites, by histogram name. */
+const char *const kKernelHistograms[] = {
+    "ufc_ntt_forward_ns",      "ufc_ntt_inverse_ns",
+    "ufc_cg_ntt_forward_ns",   "ufc_cg_ntt_inverse_ns",
+    "ufc_rns_to_eval_ns",      "ufc_rns_to_coeff_ns",
+    "ufc_rns_mul_eval_ns",     "ufc_rns_fma_eval_ns",
+    "ufc_rns_automorphism_ns", "ufc_rns_extend_basis_ns",
+};
+
+constexpr u64 kKernelN = 1ULL << 10;
+constexpr int kKernelLimbs = 4;
+
+std::vector<u64>
+kernelModuli(int first, int count)
 {
-    prof::setEnabled(true);
-    prof::reset();
-    // Registry-owned, never freed — same idiom as UFC_PROF_SCOPE sites.
-    static prof::Counter &fast =
-        prof::detail::site(*new prof::Counter("test/json/fast"));
-    static prof::Counter &slow =
-        prof::detail::site(*new prof::Counter("test/json/slow"));
-    fast.add(100);
-    fast.add(100);
-    slow.add(10000);
-
-    std::ostringstream os;
-    prof::writeJson(os);
-    prof::setEnabled(false);
-    const std::string out = os.str();
-
-    expectBalancedJson(out);
-    EXPECT_EQ(out.find("{\"schema\":\"ufc.profile/v1\",\"counters\":["),
-              0u) << out;
-    EXPECT_NE(
-        out.find("{\"name\":\"test/json/slow\",\"calls\":1,"
-                 "\"total_ns\":10000,\"mean_ns\":10000}"),
-        std::string::npos) << out;
-    EXPECT_NE(
-        out.find("{\"name\":\"test/json/fast\",\"calls\":2,"
-                 "\"total_ns\":200,\"mean_ns\":100}"),
-        std::string::npos) << out;
-    // Sorted by total time descending: slow before fast.
-    EXPECT_LT(out.find("test/json/slow"), out.find("test/json/fast"));
+    std::vector<u64> out;
+    for (int i = first; i < first + count; ++i)
+        out.push_back(findNttPrime(45, 2 * kKernelN, i));
+    return out;
 }
 
-TEST(ProfJson, ResetAndConcurrentAddAreRaceFree)
+/** Every output of one runKernels() pass, for bit-identity checks. */
+struct KernelOutputs
 {
-    prof::setEnabled(true);
-    static prof::Counter &hammered =
-        prof::detail::site(*new prof::Counter("test/json/hammered"));
+    std::vector<u64> nttFwd, nttInv, cgFwd, cgInv;
+    std::vector<std::vector<u64>> rns;
 
-    constexpr int kThreads = 4;
-    constexpr int kIters = 5000;
-    std::vector<std::thread> workers;
+    bool operator==(const KernelOutputs &) const = default;
+};
+
+/**
+ * One seeded pass over all ten kernel sites.  Calls per site (RnsPoly
+ * form changes call NttTable once per limb): NttTable forward
+ * 1 + 2 * kKernelLimbs, NttTable inverse 1 + kKernelLimbs, toEval 2,
+ * every other site 1.
+ */
+KernelOutputs
+runKernels()
+{
+    const std::vector<u64> moduli = kernelModuli(0, kKernelLimbs);
+    const u64 q = moduli[0];
+    Rng rng(2024);
+    std::vector<u64> x(kKernelN);
+    for (auto &v : x)
+        v = rng.uniform(q);
+
+    KernelOutputs out;
+    const NttTable ntt(kKernelN, q);
+    out.nttFwd = x;
+    ntt.forward(out.nttFwd);
+    out.nttInv = x;
+    ntt.inverse(out.nttInv);
+    const CgNtt cg(kKernelN, q);
+    out.cgFwd = x;
+    cg.forward(out.cgFwd);
+    out.cgInv = x;
+    cg.inverse(out.cgInv);
+
+    RingContext ring(kKernelN);
+    RnsPoly a(&ring, moduli, PolyForm::Coeff);
+    RnsPoly b(&ring, moduli, PolyForm::Coeff);
+    a.sampleUniform(rng);
+    b.sampleUniform(rng);
+    a.toEval();
+    b.toEval();
+    a.mulEvalInPlace(b);
+    RnsPoly acc = a;
+    acc.fmaEval(a, b);
+    acc = acc.automorphism(5);
+    acc.toCoeff();
+    acc.extendBasis(kernelModuli(kKernelLimbs, 2));
+    for (size_t i = 0; i < acc.limbCount(); ++i)
+        out.rns.push_back(acc.limb(i).data());
+    return out;
+}
+
+/** Sample count of a kernel histogram.  Look a name up only after its
+ *  site has run once, so the site registers it with its help text. */
+u64
+kernelCount(const char *name)
+{
+    return metrics::histogram(name).count();
+}
+
+/** Restores the default kernel pool on scope exit. */
+struct KernelThreadsGuard
+{
+    ~KernelThreadsGuard() { setKernelThreads(0); }
+};
+
+class KernelMetrics : public MetricsTest
+{};
+
+TEST_F(KernelMetrics, RecordNothingWhenOff)
+{
+    metrics::setEnabled(false);
+    (void)runKernels();
+    for (const char *name : kKernelHistograms) {
+        EXPECT_EQ(kernelCount(name), 0u) << name;
+        EXPECT_EQ(metrics::histogram(name).sum(), 0u) << name;
+    }
+}
+
+TEST_F(KernelMetrics, CountEveryCallAndLeaveOutputsBitIdentical)
+{
+    metrics::setEnabled(false);
+    const KernelOutputs off = runKernels();
+    metrics::setEnabled(true);
+    u64 before[std::size(kKernelHistograms)];
+    for (size_t i = 0; i < std::size(kKernelHistograms); ++i)
+        before[i] = kernelCount(kKernelHistograms[i]);
+
+    const KernelOutputs on = runKernels();
+    EXPECT_TRUE(on == off) << "metrics on changed a kernel output";
+
+    const u64 expected[] = {
+        1 + 2 * kKernelLimbs, 1 + kKernelLimbs, // NttTable fwd / inv
+        1, 1,                                   // CgNtt fwd / inv
+        2, 1, 1, 1, 1, 1,                       // RnsPoly sites
+    };
+    static_assert(std::size(expected) == std::size(kKernelHistograms));
+    for (size_t i = 0; i < std::size(kKernelHistograms); ++i)
+        EXPECT_EQ(kernelCount(kKernelHistograms[i]) - before[i],
+                  expected[i])
+            << kKernelHistograms[i];
+}
+
+TEST_F(KernelMetrics, HistogramsAppearInPrometheus)
+{
+    (void)runKernels();
+    std::ostringstream os;
+    metrics::writePrometheus(os);
+    const std::string prom = os.str();
+    for (const char *name : kKernelHistograms) {
+        const std::string n(name);
+        EXPECT_NE(prom.find("# HELP " + n + " host time per "),
+                  std::string::npos) << n;
+        EXPECT_NE(prom.find("# TYPE " + n + " histogram"),
+                  std::string::npos) << n;
+        EXPECT_NE(prom.find(n + "_count "), std::string::npos) << n;
+        EXPECT_NE(prom.find(n + "_bucket{le="), std::string::npos) << n;
+    }
+}
+
+TEST_F(KernelMetrics, ConcurrentRnsKernelsOnThePoolCountEveryCall)
+{
+    // One thread fans limbs out over the kernel pool, so NttTable
+    // records from every pool worker at once; two more threads run the
+    // same RNS kernels inline under WorkerScope (the pool takes one
+    // external caller at a time), recording the RnsPoly and NttTable
+    // histograms concurrently with it.  TSan covers the recording.
+    KernelThreadsGuard guard;
+    setKernelThreads(4);
+    (void)runKernels(); // register every site before taking baselines
+    constexpr int kThreads = 3;
+    constexpr int kIters = 6;
+    constexpr int kLimbs = 8;
+    const u64 fwd0 = kernelCount("ufc_ntt_forward_ns");
+    const u64 inv0 = kernelCount("ufc_ntt_inverse_ns");
+    const u64 toEval0 = kernelCount("ufc_rns_to_eval_ns");
+    const u64 toCoeff0 = kernelCount("ufc_rns_to_coeff_ns");
+    const u64 mul0 = kernelCount("ufc_rns_mul_eval_ns");
+
+    const std::vector<u64> moduli = kernelModuli(0, kLimbs);
+    RingContext ring(kKernelN);
+    std::vector<std::vector<u64>> results(kThreads);
+    std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t)
-        workers.emplace_back([&] {
-            for (int i = 0; i < kIters; ++i)
-                hammered.add(3);
+        threads.emplace_back([&, t] {
+            std::optional<ThreadPool::WorkerScope> inlineKernels;
+            if (t > 0)
+                inlineKernels.emplace();
+            Rng rng(7);
+            RnsPoly p(&ring, moduli, PolyForm::Coeff);
+            p.sampleUniform(rng);
+            for (int i = 0; i < kIters; ++i) {
+                p.toEval();
+                RnsPoly sq = p;
+                p.mulEvalInPlace(sq);
+                p.toCoeff();
+            }
+            for (size_t l = 0; l < p.limbCount(); ++l)
+                results[t].insert(results[t].end(),
+                                  p.limb(l).data().begin(),
+                                  p.limb(l).data().end());
         });
-    // Concurrent snapshots and resets: relaxed atomics, no torn reads.
-    std::thread churner([&] {
-        for (int i = 0; i < 50; ++i) {
-            std::ostringstream os;
-            prof::writeJson(os);
-            prof::reset();
-        }
-    });
-    for (auto &w : workers)
-        w.join();
-    churner.join();
-    prof::reset();
-    prof::setEnabled(false);
-    EXPECT_EQ(hammered.calls.load(), 0u);
+    for (auto &th : threads)
+        th.join();
+
+    const u64 calls = kThreads * kIters;
+    EXPECT_EQ(kernelCount("ufc_rns_to_eval_ns") - toEval0, calls);
+    EXPECT_EQ(kernelCount("ufc_rns_to_coeff_ns") - toCoeff0, calls);
+    EXPECT_EQ(kernelCount("ufc_rns_mul_eval_ns") - mul0, calls);
+    EXPECT_EQ(kernelCount("ufc_ntt_forward_ns") - fwd0, calls * kLimbs);
+    EXPECT_EQ(kernelCount("ufc_ntt_inverse_ns") - inv0, calls * kLimbs);
+    // Same seed on every thread: pool and inline runs agree.
+    for (int t = 1; t < kThreads; ++t)
+        EXPECT_EQ(results[t], results[0]) << "thread " << t;
 }
 
 } // namespace

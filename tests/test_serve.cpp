@@ -772,11 +772,26 @@ TEST(ServeLifecycle, StopCancelsQueuedJobsAndAccountsForThem)
     client.connect(cfg.socketPath, 5);
     JsonValue held = traceTextJob(smallTraceText(8), "held");
     held.set("hold_ms", JsonValue::makeInt(400));
-    ASSERT_TRUE(client.submit(held).getBool("ok"));
+    const JsonValue heldSub = client.submit(held);
+    ASSERT_TRUE(heldSub.getBool("ok"));
     for (int i = 0; i < 3; ++i)
         ASSERT_TRUE(
             client.submit(traceTextJob(smallTraceText(8), "queued"))
                 .getBool("ok"));
+
+    // Stop only once the single worker has dequeued `held`: stopping
+    // earlier cancels it along with the queued jobs.
+    JsonValue status = JsonValue::makeObject();
+    status.set("op", JsonValue::makeString("status"));
+    status.set("id", JsonValue::makeString(heldSub.getString("id")));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    std::string state = client.request(status).getString("state");
+    while (state == "queued" && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+        state = client.request(status).getString("state");
+    }
+    ASSERT_EQ("running", state) << "held job did not start within 30 s";
 
     server.stop();
 
