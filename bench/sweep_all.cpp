@@ -27,10 +27,12 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.h"
 #include "common/json.h"
+#include "math/ntt.h"
 #include "metrics/metrics.h"
 #include "runner/report.h"
 #include "runner/sweeps.h"
@@ -50,6 +52,26 @@ extern "C" void
 onInterrupt(int)
 {
     gInterrupted.store(true, std::memory_order_relaxed);
+}
+
+#ifndef UFC_BUILD_TYPE
+#define UFC_BUILD_TYPE "unknown"
+#endif
+
+/// First "model name" line of /proc/cpuinfo ("unknown" elsewhere).
+std::string
+cpuModel()
+{
+    std::ifstream is("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(is, line)) {
+        if (line.rfind("model name", 0) == 0) {
+            const auto colon = line.find(':');
+            if (colon != std::string::npos)
+                return line.substr(line.find_first_not_of(' ', colon + 1));
+        }
+    }
+    return "unknown";
 }
 
 double
@@ -158,7 +180,9 @@ usage(const char *argv0)
         "  --compare-ir      run the batch on both engines, verify\n"
         "                    bit-identical results, report the speedup\n"
         "  --bench-json PATH with --compare-ir: write the wall-clock\n"
-        "                    comparison as a small JSON record\n"
+        "                    comparison, with the host (CPU model,\n"
+        "                    nproc, AVX-512 IFMA, build type), as a\n"
+        "                    small JSON record\n"
         "  --progress        per-job status lines on stderr\n"
         "                    (\"[jobs_done/jobs_total] <label> ...\")\n"
         "  --metrics-out PATH  write the metrics registry as Prometheus\n"
@@ -557,6 +581,12 @@ try {
             };
             f << "{\n  \"benchmark\": "
               << json::quote("sweep_all bytecode vs trace-ir") << ",\n"
+              << "  \"host\": {\"cpu\": " << json::quote(cpuModel())
+              << ", \"nproc\": " << std::thread::hardware_concurrency()
+              << ", \"avx512_ifma\": "
+              << (detail::avx512IfmaAvailable() ? "true" : "false")
+              << ", \"build_type\": " << json::quote(UFC_BUILD_TYPE)
+              << "},\n"
               << "  \"jobs\": " << jobs.size() << ",\n"
               << "  \"threads\": " << threads << ",\n"
               << "  \"bytecode_wall_seconds\": " << num(parallelWall)

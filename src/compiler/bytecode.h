@@ -33,8 +33,8 @@
  * tagged as one macro-op at the run head (runLen > 1).  On UFC this makes
  * each hybrid key switch (ModUp -> inner product -> ModDown: the operands
  * stream or live on chip) and each TFHE blind-rotate body between
- * bootstrap-key fetches a single fused unit the executor iterates without
- * re-dispatching.  Legality is lintable: analysis rules
+ * bootstrap-key fetches a single fused unit the executor runs through its
+ * Stream kernel as one span.  Legality is lintable: analysis rules
  * `bc-fuse-cached-operand` and `bc-fuse-phase-span` (verifyProgram).
  */
 
@@ -110,8 +110,8 @@ struct BcInst
     u32 bufBegin = 0;  ///< first BcBuf (Mem kind)
     u16 bufCount = 0;  ///< BcBuf count (Mem kind)
     /// Fused-run head: number of consecutive Stream instructions
-    /// (including this one) the executor may iterate without
-    /// re-dispatching; 1 everywhere else.
+    /// (including this one) the executor runs as one Stream-kernel
+    /// span; 1 everywhere else.
     u16 runLen = 1;
     u8 op = 0;         ///< isa::HwOp
     u8 resource = 0;   ///< isa::Resource

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "common/error.h"
 #include "sim/timeline.h"
@@ -140,17 +141,274 @@ BytecodeEngine::spadAccess(const compiler::BcBuf &buf,
     return buf.write ? 0.0 : buf.bytes;
 }
 
-template <bool WithTimeline>
+/// Per-run constants the per-instruction update reads.
+struct BytecodeEngine::RunConsts
+{
+    double *ring;
+    size_t ringCap;
+    int window;
+    /// maxCycles_ as a double, +inf when the watchdog is off: one
+    /// compare with the same outcome as `maxCycles_ > 0 && clock > max`.
+    double cycleBound;
+    bool deadlineArmed;
+};
+
+/**
+ * The scalar engine state one instruction updates: the Stream kernel
+ * copies it into locals for a span so the clocks and accumulators stay
+ * in registers.  Fields mirror the members and RunStats fields of the
+ * same names.
+ */
+struct BytecodeEngine::Regs
+{
+    double computeClock;
+    double memClock;
+    size_t ringStart;
+    size_t ringSize;
+    u64 instCount;
+    double hbmBytes;
+    double hbmBusyCycles;
+    double hbmBound;
+    double dependency;
+    double pipelineFill;
+    double spadSpillCycles;
+    double spadWritebackBytes;
+};
+
+/**
+ * Everything one instruction reads and writes besides the scratchpad and
+ * spadHitBytes (both Mem-only).  exec() keeps one of these in a local
+ * for the whole run and hands it to the Stream kernel by reference.
+ */
+struct BytecodeEngine::HotState
+{
+    RunConsts k;
+    Regs r;
+    std::array<double, isa::kNumResources> busyCycles;
+    std::array<OpStats, isa::kNumHwOps> opStats;
+};
+
+BytecodeEngine::HotState
+BytecodeEngine::hoist()
+{
+    HotState h;
+    h.k.ring = ring_.data();
+    h.k.ringCap = ring_.size();
+    h.k.window = window_;
+    h.k.cycleBound = maxCycles_ > 0
+                         ? static_cast<double>(maxCycles_)
+                         : std::numeric_limits<double>::infinity();
+    h.k.deadlineArmed =
+        hostDeadline_ != std::chrono::steady_clock::time_point{};
+    h.r.computeClock = computeClock_;
+    h.r.memClock = memClock_;
+    h.r.ringStart = ringStart_;
+    h.r.ringSize = ringSize_;
+    h.r.instCount = stats_.instCount;
+    h.r.hbmBytes = stats_.hbmBytes;
+    h.r.hbmBusyCycles = stats_.hbmBusyCycles;
+    h.r.hbmBound = stats_.stalls.hbmBound;
+    h.r.dependency = stats_.stalls.dependency;
+    h.r.pipelineFill = stats_.stalls.pipelineFill;
+    h.r.spadSpillCycles = stats_.stalls.spadSpillCycles;
+    h.r.spadWritebackBytes = stats_.stalls.spadWritebackBytes;
+    h.busyCycles = stats_.busyCycles;
+    h.opStats = stats_.opStats;
+    return h;
+}
+
 void
-BytecodeEngine::step(const compiler::BcInst &b)
+BytecodeEngine::sink(const HotState &h)
+{
+    computeClock_ = h.r.computeClock;
+    memClock_ = h.r.memClock;
+    ringStart_ = h.r.ringStart;
+    ringSize_ = h.r.ringSize;
+    stats_.instCount = h.r.instCount;
+    stats_.hbmBytes = h.r.hbmBytes;
+    stats_.hbmBusyCycles = h.r.hbmBusyCycles;
+    stats_.stalls.hbmBound = h.r.hbmBound;
+    stats_.stalls.dependency = h.r.dependency;
+    stats_.stalls.pipelineFill = h.r.pipelineFill;
+    stats_.stalls.spadSpillCycles = h.r.spadSpillCycles;
+    stats_.stalls.spadWritebackBytes = h.r.spadWritebackBytes;
+    stats_.busyCycles = h.busyCycles;
+    stats_.opStats = h.opStats;
+}
+
+// The two watchdog slow paths take `r` by value: the Stream kernel's
+// `r` is a local, and handing out its address would let it escape.
+// Both copy it into `h` before throwing, since exec()'s handler (which
+// writes `h` back to the members) cannot see the kernel's locals.
+
+inline void
+BytecodeEngine::poll(HotState &h, const RunConsts &k,
+                     const Regs &r) const
 {
     // Cooperative host-deadline poll, same cadence as the IR engine.
-    if (hostDeadline_ != std::chrono::steady_clock::time_point{} &&
-        stats_.instCount % CycleEngine::kDeadlinePollPeriod == 0) {
-        detail::countDeadlinePoll();
-        if (std::chrono::steady_clock::now() >= hostDeadline_)
-            detail::throwHostDeadline(stats_.instCount, computeClock_);
+    if (k.deadlineArmed &&
+        r.instCount % CycleEngine::kDeadlinePollPeriod == 0) [[unlikely]]
+        pollDeadline(h, r);
+}
+
+void
+BytecodeEngine::pollDeadline(HotState &h, Regs r) const
+{
+    detail::countDeadlinePoll();
+    if (std::chrono::steady_clock::now() >= hostDeadline_) {
+        h.r = r;
+        detail::throwHostDeadline(r.instCount, r.computeClock);
     }
+}
+
+void
+BytecodeEngine::tripMaxCycles(HotState &h, Regs r) const
+{
+    h.r = r;
+    detail::throwMaxCycles(r.computeClock, maxCycles_, r.instCount + 1);
+}
+
+/**
+ * The one copy of the per-instruction clock and statistics update:
+ * CycleEngine::issue() statement for statement after its memory phase,
+ * from the prefetch-window wait through the stall accounting.  The
+ * caller polls the deadline and runs the memory phase first, as issue()
+ * does.  `spillCycles` is wbBytes / hbmBytesPerCycle, computed by the
+ * caller so the Stream kernel can pass the (identical) value once per
+ * run.
+ */
+inline BytecodeEngine::Times
+BytecodeEngine::advance(HotState &h, const RunConsts &k, Regs &r,
+                        const compiler::BcInst &b, double fetchBytes,
+                        double wbBytes, double memCycles,
+                        double spillCycles)
+{
+    double memStart = r.memClock;
+    if (k.window <= 0) {
+        memStart = std::max(memStart, r.computeClock);
+    } else if (r.ringSize >= static_cast<size_t>(k.window)) {
+        // ringStart < ring size and ringSize <= ring size, so the
+        // unwrapped index is < 2x the size: one conditional subtract
+        // replaces the modulo (a hardware divide) on the hot path.
+        size_t idx = r.ringStart + r.ringSize - static_cast<size_t>(k.window);
+        if (idx >= k.ringCap)
+            idx -= k.ringCap;
+        memStart = std::max(memStart, k.ring[idx]);
+    }
+    const double memDone = memStart + memCycles;
+    r.memClock = memDone;
+
+    const double computeBefore = r.computeClock;
+    const double start = std::max(computeBefore, memDone);
+    const double done = start + b.computeCycles + b.fillCycles;
+    r.computeClock = done;
+
+    if (r.computeClock > k.cycleBound) [[unlikely]]
+        tripMaxCycles(h, r);
+
+    if (k.window > 0) {
+        // push_back + trim-beyond-4*window, as a ring overwrite
+        // (conditional wrap, not modulo: indices advance by one).
+        if (r.ringSize == k.ringCap) {
+            k.ring[r.ringStart] = done;
+            ++r.ringStart;
+            if (r.ringStart == k.ringCap)
+                r.ringStart = 0;
+        } else {
+            size_t idx = r.ringStart + r.ringSize;
+            if (idx >= k.ringCap)
+                idx -= k.ringCap;
+            k.ring[idx] = done;
+            ++r.ringSize;
+        }
+    }
+
+    h.busyCycles[b.resource] += b.busyLaneCycles;
+    h.busyCycles[static_cast<int>(isa::Resource::Noc)] += b.nocCycles;
+    r.hbmBytes += fetchBytes + wbBytes;
+    r.hbmBusyCycles += memCycles;
+    ++r.instCount;
+
+    const double wait = start - computeBefore;
+    OpStats &op = h.opStats[b.op];
+    ++op.count;
+    op.cycles += wait + b.computeCycles + b.fillCycles;
+    op.computeCycles += b.computeCycles;
+    op.stallCycles += wait;
+    op.fillCycles += b.fillCycles;
+    op.hbmBytes += fetchBytes + wbBytes;
+
+    const double hbmOverlap = std::min(wait, memCycles);
+    r.hbmBound += hbmOverlap;
+    r.dependency += wait - hbmOverlap;
+    r.pipelineFill += b.fillCycles;
+    r.spadWritebackBytes += wbBytes;
+    r.spadSpillCycles += spillCycles;
+    return {memStart, memDone, start, done};
+}
+
+// GCC's SLP vectorizer packs the two clocks into one vector register
+// and shuffles them apart on the loop-carried path; the kernel runs
+// faster scalar.
+#if defined(__GNUC__) && !defined(__clang__)
+#define UFC_SCALAR_KERNEL __attribute__((optimize("no-tree-slp-vectorize")))
+#else
+#define UFC_SCALAR_KERNEL
+#endif
+
+/**
+ * The Stream kernel: `trips` back-to-back executions of the all-Stream
+ * span body[0, len).  A fused run is one trip; a folded loop is its
+ * body times its trip count.  The memory phase of a Stream instruction
+ * is pre-computed, so each instruction is a deadline poll plus
+ * advance().  Out of line on purpose: in a small function the run
+ * constants and the scalar state copied into `k` and `r` get registers,
+ * and `__restrict` tells the compiler that stores into `h`'s tables and
+ * the prefetch ring never alias the BcInst loads.
+ */
+UFC_SCALAR_KERNEL void
+BytecodeEngine::streamSpan(HotState &__restrict h,
+                           const compiler::BcInst *__restrict body,
+                           size_t len, u64 trips, double zeroSpillCycles)
+{
+    const RunConsts k = h.k;
+    Regs r = h.r;
+    const compiler::BcInst *const end = body + len;
+    for (u64 t = 0; t < trips; ++t)
+        for (const compiler::BcInst *b = body; b != end; ++b) {
+            poll(h, k, r);
+            advance(h, k, r, *b, b->staticFetchBytes, 0.0,
+                    b->staticMemCycles, zeroSpillCycles);
+        }
+    h.r = r;
+}
+
+#undef UFC_SCALAR_KERNEL
+
+void
+BytecodeEngine::screenRun(size_t head, u64 limit) const
+{
+    // The Stream kernel trusts runLen for bounds and member kinds; refuse
+    // a hand-built or mutated run here, as run() does a bad loop.
+    const auto &code = program_->code;
+    const u64 end = head + code[head].runLen;
+    UFC_EXPECT(end <= limit, ConfigError,
+               "malformed Program fused run at " << head << " (runLen="
+                   << code[head].runLen << " overruns " << limit
+                   << "); see lint rule bc-fuse-phase-span");
+    for (size_t k = head + 1; k < end; ++k)
+        UFC_EXPECT(code[k].kind == compiler::BcKind::Stream, ConfigError,
+                   "malformed Program fused run at "
+                       << head << " (member " << k
+                       << " touches the scratchpad); see lint rule "
+                          "bc-fuse-cached-operand");
+}
+
+template <bool WithTimeline>
+inline void
+BytecodeEngine::step(HotState &h, const compiler::BcInst &b)
+{
+    poll(h, h.k, h.r);
 
     // Memory phase.  Stream instructions carry it pre-computed; Mem
     // instructions walk their operand records in original order so the
@@ -181,91 +439,29 @@ BytecodeEngine::step(const compiler::BcInst &b)
         memCycles = (fetchBytes + wbBytes) / program_->hbmBytesPerCycle;
     }
 
-    double memStart = memClock_;
-    if (window_ <= 0) {
-        memStart = std::max(memStart, computeClock_);
-    } else if (ringSize_ >= static_cast<size_t>(window_)) {
-        // ringStart_ < ring size and ringSize_ <= ring size, so the
-        // unwrapped index is < 2x the size: one conditional subtract
-        // replaces the modulo (a hardware divide) on the hot path.
-        size_t idx = ringStart_ + ringSize_ - static_cast<size_t>(window_);
-        if (idx >= ring_.size())
-            idx -= ring_.size();
-        memStart = std::max(memStart, ring_[idx]);
-    }
-    const double memDone = memStart + memCycles;
-    memClock_ = memDone;
-
-    const double computeBefore = computeClock_;
-    const double start = std::max(computeBefore, memDone);
-    const double done = start + b.computeCycles + b.fillCycles;
-    computeClock_ = done;
-
-    if (maxCycles_ > 0 && computeClock_ > static_cast<double>(maxCycles_))
-        detail::throwMaxCycles(computeClock_, maxCycles_,
-                               stats_.instCount + 1);
-
-    if (window_ > 0) {
-        // push_back + trim-beyond-4*window, as a ring overwrite
-        // (conditional wrap, not modulo: indices advance by one).
-        if (ringSize_ == ring_.size()) {
-            ring_[ringStart_] = done;
-            ++ringStart_;
-            if (ringStart_ == ring_.size())
-                ringStart_ = 0;
-        } else {
-            size_t idx = ringStart_ + ringSize_;
-            if (idx >= ring_.size())
-                idx -= ring_.size();
-            ring_[idx] = done;
-            ++ringSize_;
-        }
-    }
-
-    stats_.busyCycles[b.resource] += b.busyLaneCycles;
-    stats_.busyCycles[static_cast<int>(isa::Resource::Noc)] +=
-        b.nocCycles;
-    stats_.hbmBytes += fetchBytes + wbBytes;
-    stats_.hbmBusyCycles += memCycles;
-    ++stats_.instCount;
-
-    const double wait = start - computeBefore;
-    OpStats &op = stats_.opStats[b.op];
-    ++op.count;
-    op.cycles += wait + b.computeCycles + b.fillCycles;
-    op.computeCycles += b.computeCycles;
-    op.stallCycles += wait;
-    op.fillCycles += b.fillCycles;
-    op.hbmBytes += fetchBytes + wbBytes;
-
-    const double hbmOverlap = std::min(wait, memCycles);
-    stats_.stalls.hbmBound += hbmOverlap;
-    stats_.stalls.dependency += wait - hbmOverlap;
-    stats_.stalls.pipelineFill += b.fillCycles;
-    stats_.stalls.spadWritebackBytes += wbBytes;
-    stats_.stalls.spadSpillCycles +=
-        wbBytes / program_->hbmBytesPerCycle;
+    const Times t = advance(h, h.k, h.r, b, fetchBytes, wbBytes, memCycles,
+                            wbBytes / program_->hbmBytesPerCycle);
 
     if constexpr (WithTimeline) {
         const char *name = isa::opName(static_cast<isa::HwOp>(b.op));
         if (memCycles > 0)
-            timeline_->addSlice(Timeline::kHbmTrack, name, memStart,
-                                memDone, fetchBytes + wbBytes);
-        timeline_->addSlice(static_cast<int>(b.resource), name, start,
-                            done);
+            timeline_->addSlice(Timeline::kHbmTrack, name, t.memStart,
+                                t.memDone, fetchBytes + wbBytes);
+        timeline_->addSlice(static_cast<int>(b.resource), name, t.start,
+                            t.done);
     }
 }
 
 void
-BytecodeEngine::applyPhaseEvent(const compiler::PhaseEvent &ev)
+BytecodeEngine::applyPhaseEvent(const compiler::PhaseEvent &ev, double clock)
 {
     if (ev.name == compiler::PhaseEvent::kEnd)
-        timeline_->endPhase(computeClock_);
+        timeline_->endPhase(clock);
     else
         timeline_
             ->beginPhase(program_->phaseNames[static_cast<size_t>(ev.name)]
                              .c_str(),
-                         computeClock_);
+                         clock);
 }
 
 u64
@@ -396,84 +592,115 @@ BytecodeEngine::exec()
     size_t si = 0;
     size_t pendingSeg = kNoPending;
     u64 pendingKey = 0;
-    while (true) {
-        // Structural loop-back: fires between instructions, before any
-        // phase event at this index, so markers recorded after a fold
-        // fire once — after the final trip.  The body re-executes with
-        // full per-instruction state (clocks, ring, deadline polls);
-        // only the dispatch of the repeat is structural.  The phase
-        // cursor below stays monotonic across the jump because folded
-        // bodies contain no markers (bc-loop-invariant).
-        if (li < loops.size() && i == loops[li].end) {
-            ++tripsDone;
-            if (tripsDone < loops[li].trips) {
-                i -= loops[li].bodyLen;
-                continue;
-            }
-            ++li;
-            tripsDone = 0;
-        }
-        if (useCache) {
-            // Close an open miss first: at a shared boundary (previous
-            // segment's end == next segment's begin) the snapshot must
-            // be taken before the next lookup keys off this state.
-            if (pendingSeg != kNoPending &&
-                i == static_cast<size_t>(segs[pendingSeg].end)) {
-                cache_->insert(pendingKey, snapshotState());
-                pendingSeg = kNoPending;
-            }
-            // Consume consecutive hits; on the first miss, record it as
-            // pending and fall through to execute the segment normally.
-            // tripsDone is always 0 here: folded loops never straddle a
-            // phase marker (bc-loop-invariant), so a segment boundary
-            // is never inside a partially executed loop.
-            while (si < segs.size() &&
-                   i == static_cast<size_t>(segs[si].begin)) {
-                const u64 key = entryKey(segHashes_[si]);
-                const auto hit = cache_->find(key);
-                if (!hit) {
-                    ++runCacheMisses_;
-                    pendingSeg = si;
-                    pendingKey = key;
-                    ++si;
-                    break;
-                }
-                ++runCacheHits_;
-                restoreState(*hit);
-                i = static_cast<size_t>(segs[si].end);
-                while (li < loops.size() && loops[li].end <= i)
+    // A Stream instruction's write-back is 0.0, so its spill term is this
+    // same quotient every time (0.0 / x is exact and deterministic).
+    const double zeroSpillCycles = 0.0 / program_->hbmBytesPerCycle;
+    HotState h = hoist();
+    try {
+        while (true) {
+            if constexpr (WithTimeline) {
+                // Structural loop-back: timeline runs step every
+                // instruction, so a folded body re-executes by jumping
+                // back.  It fires before any phase event at this index,
+                // so markers recorded after a fold fire once — after the
+                // final trip.  Folded bodies contain no markers
+                // (bc-loop-invariant), so the event cursor stays
+                // monotonic across the jump.
+                if (li < loops.size() && i == loops[li].end) {
+                    ++tripsDone;
+                    if (tripsDone < loops[li].trips) {
+                        i -= loops[li].bodyLen;
+                        continue;
+                    }
                     ++li;
-                ++si;
+                    tripsDone = 0;
+                }
+            }
+            if (useCache &&
+                ((pendingSeg != kNoPending &&
+                  i == static_cast<size_t>(segs[pendingSeg].end)) ||
+                 (si < segs.size() &&
+                  i == static_cast<size_t>(segs[si].begin)))) {
+                // The key, the snapshot and a restore all work on the
+                // members, so the state goes back before and comes out
+                // again after.  Segments are >= kMinSegmentInsts long.
+                sink(h);
+                // Close an open miss first: at a shared boundary (previous
+                // segment's end == next segment's begin) the snapshot
+                // must be taken before the next lookup keys off this
+                // state.
+                if (pendingSeg != kNoPending &&
+                    i == static_cast<size_t>(segs[pendingSeg].end)) {
+                    cache_->insert(pendingKey, snapshotState());
+                    pendingSeg = kNoPending;
+                }
+                // Consume consecutive hits; on the first miss, record it
+                // as pending and fall through to execute the segment
+                // normally.  Loops never straddle a phase marker
+                // (bc-loop-invariant) and the Stream kernel runs a loop's
+                // trips in one go, so a boundary is never inside a loop.
+                while (si < segs.size() &&
+                       i == static_cast<size_t>(segs[si].begin)) {
+                    const u64 key = entryKey(segHashes_[si]);
+                    const auto hit = cache_->find(key);
+                    if (!hit) {
+                        ++runCacheMisses_;
+                        pendingSeg = si;
+                        pendingKey = key;
+                        ++si;
+                        break;
+                    }
+                    ++runCacheHits_;
+                    restoreState(*hit);
+                    i = static_cast<size_t>(segs[si].end);
+                    while (li < loops.size() && loops[li].end <= i)
+                        ++li;
+                    ++si;
+                }
+                h = hoist();
+            }
+            if (i >= n)
+                break;
+            if constexpr (WithTimeline) {
+                while (ev < events.size() && events[ev].inst == i) {
+                    applyPhaseEvent(events[ev], h.r.computeClock);
+                    ++ev;
+                }
+                step<true>(h, code[i]);
+                ++i;
+            } else {
+                // Stream spans: a folded loop starting here (all trips),
+                // else a fused run head (one trip).  Neither contains a
+                // phase marker (bc-loop-invariant, bc-fuse-phase-span),
+                // and timeline runs never get here, so the kernel skips
+                // every per-instruction dispatch check.
+                const u64 loopStart = li < loops.size()
+                                          ? loops[li].end - loops[li].bodyLen
+                                          : n;
+                if (i == loopStart) {
+                    streamSpan(h, &code[i], loops[li].bodyLen,
+                               loops[li].trips, zeroSpillCycles);
+                    i = loops[li].end;
+                    ++li;
+                } else if (code[i].runLen > 1) {
+                    screenRun(i, loopStart);
+                    streamSpan(h, &code[i], code[i].runLen, 1,
+                               zeroSpillCycles);
+                    i += code[i].runLen;
+                } else {
+                    step<false>(h, code[i]);
+                    ++i;
+                }
             }
         }
-        if (i >= n)
-            break;
-        if constexpr (WithTimeline) {
-            while (ev < events.size() && events[ev].inst == i) {
-                applyPhaseEvent(events[ev]);
-                ++ev;
-            }
-        }
-        const compiler::BcInst &b = code[i];
-        if (!WithTimeline && b.runLen > 1) {
-            // Fused macro-op: every member is a Stream instruction and
-            // no phase marker fires inside the run (compile-time
-            // invariants; lint rules bc-fuse-*), so the inner loop
-            // skips the dispatch checks entirely.  Timeline runs take
-            // the generic path — replaying phase events between member
-            // instructions needs the per-instruction cursor.
-            const size_t end = i + b.runLen;
-            for (size_t k = i; k < end; ++k)
-                step<false>(code[k]);
-            i = end;
-        } else {
-            step<WithTimeline>(b);
-            ++i;
-        }
+    } catch (...) {
+        sink(h);
+        throw;
     }
+    sink(h);
     if constexpr (WithTimeline) {
         while (ev < events.size()) {
-            applyPhaseEvent(events[ev]);
+            applyPhaseEvent(events[ev], computeClock_);
             ++ev;
         }
     }
@@ -488,6 +715,7 @@ BytecodeEngine::run()
                    << "'); decompose it via ComposedModel::execute");
     // Cheap structural screen of the loop table (the executor trusts it
     // for control flow); verifyProgram() covers the full invariants.
+    // The Stream kernel also trusts that a body is all-Stream.
     u64 prevEnd = 0;
     for (const auto &lp : program_->loops) {
         UFC_EXPECT(lp.bodyLen > 0 && lp.trips >= 2 &&
@@ -498,6 +726,14 @@ BytecodeEngine::run()
                    "malformed Program loop (end=" << lp.end << " body="
                        << lp.bodyLen << " trips=" << lp.trips
                        << "); see lint rule bc-loop-invariant");
+        for (u64 k = lp.end - lp.bodyLen; k < lp.end; ++k)
+            UFC_EXPECT(program_->code[k].kind == compiler::BcKind::Stream,
+                       ConfigError,
+                       "malformed Program loop (end="
+                           << lp.end << " body=" << lp.bodyLen
+                           << "): instruction " << k
+                           << " touches the scratchpad; see lint rule "
+                              "bc-loop-invariant");
         prevEnd = lp.end;
     }
     runCacheHits_ = 0;

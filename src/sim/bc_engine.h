@@ -1,7 +1,7 @@
 /**
  * @file
  * Bytecode executor: runs a compiled compiler::Program through the exact
- * cycle model of sim/engine.h as a tight dispatch loop.
+ * cycle model of sim/engine.h.
  *
  * The executor replicates CycleEngine::issue() arithmetic operation for
  * operation — same expressions, same evaluation order, same divisions —
@@ -12,8 +12,23 @@
  *   - the scratchpad is a dense slot array with an intrusive LRU list
  *     instead of unordered_map + std::list,
  *   - the prefetch window is a flat ring buffer instead of a deque,
- *   - fused runs (BcInst::runLen > 1) iterate Stream instructions
- *     without re-dispatching on kind or phase events.
+ *   - every folded loop (all trips of its all-Stream body) and every
+ *     fused run (BcInst::runLen > 1) goes through one Stream kernel with
+ *     no kind, phase or loop dispatch between its instructions.
+ *
+ * State in locals, same expressions, same order: for a whole exec() the
+ * clocks, prefetch-ring cursors, instCount, scalar accumulators and a
+ * copy of busyCycles/opStats live in a HotState local, not in members
+ * reached through `this` (BcInst's doubles could alias those, so every
+ * step would reload and re-store them).  The Stream kernel copies the
+ * scalar part into its own locals for a span, so the compiler keeps it
+ * in registers.  The state is written back once at the end, before a
+ * phase-cache lookup or snapshot, and before an exception leaves the
+ * engine.  The Stream kernel and the per-instruction step() share one
+ * update, advance(), whose expressions and evaluation order are
+ * CycleEngine::issue()'s; per-instruction watchdog checks and the
+ * deadline poll cadence are unchanged.  Timeline runs step every
+ * instruction.
  *
  * Thread safety: like CycleEngine — one engine per run, engines on
  * distinct threads may share one (immutable) Program.
@@ -95,9 +110,46 @@ class BytecodeEngine
 
     static constexpr u32 kNil = 0xffffffffu;
 
+    /// Engine state one instruction updates, held in a local of exec():
+    /// run constants, scalar registers, per-resource/per-op tables
+    /// (defined in bc_engine.cpp; see the file comment).
+    struct RunConsts;
+    struct Regs;
+    struct HotState;
+    /// What advance() computed, for timeline slices.
+    struct Times
+    {
+        double memStart;
+        double memDone;
+        double start;
+        double done;
+    };
+
+    /// Copy the members into a HotState / write one back.
+    HotState hoist();
+    void sink(const HotState &h);
+    /// Host-deadline poll at the IR engine's cadence; the slow path and
+    /// the maxCycles trip are out of line and write `r` into `h` first.
+    void poll(HotState &h, const RunConsts &k, const Regs &r) const;
+    [[gnu::noinline, gnu::cold]] void pollDeadline(HotState &h,
+                                                   Regs r) const;
+    [[noreturn, gnu::noinline, gnu::cold]] void
+    tripMaxCycles(HotState &h, Regs r) const;
+    /// The per-instruction clock and statistics update.
+    Times advance(HotState &h, const RunConsts &k, Regs &r,
+                  const compiler::BcInst &b, double fetchBytes,
+                  double wbBytes, double memCycles, double spillCycles);
+    /// The Stream kernel: `trips` runs of the all-Stream body[0, len).
+    void streamSpan(HotState &__restrict h,
+                    const compiler::BcInst *__restrict body, size_t len,
+                    u64 trips, double zeroSpillCycles);
+    /// Refuse a fused run the kernel cannot trust (ConfigError).
+    void screenRun(size_t head, u64 limit) const;
+
     template <bool WithTimeline> void exec();
-    template <bool WithTimeline> void step(const compiler::BcInst &inst);
-    void applyPhaseEvent(const compiler::PhaseEvent &ev);
+    template <bool WithTimeline>
+    void step(HotState &h, const compiler::BcInst &inst);
+    void applyPhaseEvent(const compiler::PhaseEvent &ev, double clock);
 
     double spadAccess(const compiler::BcBuf &buf, double &writebackBytes);
     void lruUnlink(u32 slot);

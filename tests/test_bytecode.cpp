@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <sstream>
 
@@ -23,6 +25,7 @@
 #include "common/error.h"
 #include "common/fault.h"
 #include "compiler/bytecode.h"
+#include "metrics/metrics.h"
 #include "runner/runner.h"
 #include "sim/accelerator.h"
 #include "sim/timeline.h"
@@ -487,6 +490,46 @@ TEST(BytecodeFusion, VerifierFlagsPhaseMarkerInsideRun)
     EXPECT_EQ(rep.firstError()->rule, "bc-fuse-phase-span");
 }
 
+/** what() of the ConfigError executing `program` throws ("" if none). */
+std::string
+executeRefusal(const UfcModel &model, const compiler::Program &program)
+{
+    try {
+        model.execute(program);
+    } catch (const ConfigError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(BytecodeFusion, EngineRejectsMalformedRun)
+{
+    // The Stream kernel trusts a run's length and its members' kinds, so
+    // a mutated run must be refused, not walked off the end of `code` or
+    // streamed past a scratchpad access.
+    const UfcModel model;
+    size_t head = 0;
+    const compiler::Program good = programWithRun(&head);
+    ASSERT_EQ(executeRefusal(model, good), "");
+
+    // The last run head, so an overrunning length still fits in u16.
+    size_t last = head;
+    for (size_t i = 0; i < good.code.size(); ++i)
+        if (good.code[i].runLen > 1)
+            last = i;
+    ASSERT_LT(good.code.size() - last, size_t{0xffff});
+    compiler::Program overrun = good;
+    overrun.code[last].runLen =
+        static_cast<u16>(overrun.code.size() - last + 1);
+    EXPECT_NE(executeRefusal(model, overrun).find("bc-fuse-phase-span"),
+              std::string::npos);
+
+    compiler::Program mem = good;
+    mem.code[head + 1].kind = compiler::BcKind::Mem;
+    EXPECT_NE(executeRefusal(model, mem).find("bc-fuse-cached-operand"),
+              std::string::npos);
+}
+
 TEST(BytecodeFusion, LintRulesAreRegistered)
 {
     bool sawCached = false;
@@ -611,6 +654,149 @@ TEST(BytecodeLoops, MaxCyclesTripsIdenticallyInsideLoop)
     EXPECT_EQ(bcWhat, irWhat);
 }
 
+/** Program indices in execution order: loop bodies multiplied out. */
+std::vector<size_t>
+executionOrder(const compiler::Program &p)
+{
+    std::vector<size_t> order;
+    size_t li = 0;
+    for (size_t i = 0; i < p.code.size();) {
+        if (li < p.loops.size() &&
+            i == p.loops[li].end - p.loops[li].bodyLen) {
+            for (u64 t = 0; t < p.loops[li].trips; ++t)
+                for (size_t k = i; k < p.loops[li].end; ++k)
+                    order.push_back(k);
+            i = p.loops[li].end;
+            ++li;
+        } else {
+            order.push_back(i++);
+        }
+    }
+    return order;
+}
+
+/** what() of the TimeoutError `opts` trips on `tr` ("" if none). */
+std::string
+timeoutWhat(const UfcModel &model, const trace::Trace &tr,
+            const RunOptions &opts)
+{
+    try {
+        model.run(tr, opts);
+    } catch (const TimeoutError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(BytecodeLoops, MaxCyclesTripsIdenticallyAtEveryBodyPosition)
+{
+    // The Stream kernel keeps the clock in a register, but the watchdog
+    // must still trip on exactly the instruction the IR engine trips on,
+    // with the same message bytes, wherever that instruction sits.
+    const UfcModel model;
+    const auto tr = workloads::pbsThroughput(tfhe::TfheParams::t4(), 16);
+    const compiler::Program program = model.compile(tr);
+    ASSERT_FALSE(program.loops.empty());
+    const std::vector<size_t> order = executionOrder(program);
+    ASSERT_EQ(order.size(), program.totalInsts());
+
+    // Compute-done clock of every executed instruction (resource-track
+    // slices, one per instruction, in issue order).
+    Timeline tl;
+    RunOptions tlOpts = irOptions();
+    tlOpts.timeline = &tl;
+    model.run(tr, tlOpts);
+    std::vector<double> done;
+    for (const TimelineSlice &s : tl.slices())
+        if (s.track < Timeline::kHbmTrack)
+            done.push_back(s.endCycle);
+    ASSERT_EQ(done.size(), order.size());
+
+    // Executed index of a loop's first instruction, and of a member of a
+    // fused run outside every loop.
+    const compiler::BcLoop &lp = program.loops[program.loops.size() / 2];
+    const size_t loopStart = lp.end - lp.bodyLen;
+    const size_t loopExec =
+        std::find(order.begin(), order.end(), loopStart) - order.begin();
+    const size_t loopLen = lp.bodyLen * lp.trips;
+    size_t runExec = 0;
+    for (size_t e = 0; e < order.size() && runExec == 0; ++e) {
+        const compiler::BcInst &b = program.code[order[e]];
+        if (b.runLen > 2 &&
+            std::count(order.begin(), order.end(), order[e]) == 1)
+            runExec = e + 1;
+    }
+    ASSERT_GT(runExec, 0u) << "no fused run outside a loop";
+
+    std::vector<size_t> trips = {
+        loopExec,                          // kernel entry
+        loopExec + 1,                      // first trip
+        loopExec + loopLen - lp.bodyLen,   // last trip, first position
+        loopExec + loopLen - 1,            // last instruction of the loop
+        loopExec + loopLen,                // first instruction after it
+        runExec,                           // inside a non-loop fused run
+    };
+    for (u32 pos = 0; pos < lp.bodyLen; ++pos) // every body position
+        trips.push_back(loopExec + lp.bodyLen + pos);
+
+    for (const size_t e : trips) {
+        SCOPED_TRACE("executed instruction " + std::to_string(e));
+        ASSERT_GT(e, 0u);
+        ASSERT_LT(e, done.size());
+        // The smallest whole bound instruction e - 1 stays within.
+        const u64 bound = static_cast<u64>(std::ceil(done[e - 1]));
+        ASSERT_GT(done[e], static_cast<double>(bound));
+        RunOptions opts;
+        opts.maxCycles = bound;
+        const std::string bc = timeoutWhat(model, tr, opts);
+        EXPECT_EQ(bc, timeoutWhat(model, tr, irOptions(opts)));
+        EXPECT_NE(bc.find("after " + std::to_string(e + 1) +
+                          " instructions"),
+                  std::string::npos)
+            << bc;
+    }
+}
+
+TEST(BytecodeLoops, HostDeadlinePollsAtIrCadenceInsideLoops)
+{
+    // An armed host deadline polls every kDeadlinePollPeriod executed
+    // instructions on both engines, Stream kernel included, and
+    // observing it never changes the result.
+    const UfcModel model;
+    const auto tr = workloads::pbsThroughput(tfhe::TfheParams::t4(), 64);
+    const bool metricsWere = metrics::enabled();
+    metrics::setEnabled(true);
+    RunOptions armed;
+    armed.hostDeadline =
+        std::chrono::steady_clock::now() + std::chrono::hours(24);
+    // The first armed run registers the counter (with its help text).
+    const std::string unarmed = model.run(tr).toJson();
+    model.run(tr, armed);
+    const metrics::Counter &polls =
+        metrics::counter("ufc_engine_deadline_polls_total");
+    u64 before = polls.value();
+    const RunResult bc = model.run(tr, armed);
+    const u64 bcPolls = polls.value() - before;
+    before = polls.value();
+    const RunResult ir = model.run(tr, irOptions(armed));
+    const u64 irPolls = polls.value() - before;
+    metrics::setEnabled(metricsWere);
+
+    EXPECT_EQ(bc.toJson(), unarmed);
+    EXPECT_EQ(ir.toJson(), unarmed);
+    const u64 n = bc.stats.instCount;
+    EXPECT_EQ(irPolls, (n + CycleEngine::kDeadlinePollPeriod - 1) /
+                           CycleEngine::kDeadlinePollPeriod);
+    EXPECT_EQ(bcPolls, irPolls);
+
+    RunOptions expired;
+    expired.hostDeadline =
+        std::chrono::steady_clock::now() - std::chrono::seconds(1);
+    const std::string bcWhat = timeoutWhat(model, tr, expired);
+    EXPECT_NE(bcWhat.find("host deadline exceeded"), std::string::npos);
+    EXPECT_EQ(bcWhat, timeoutWhat(model, tr, irOptions(expired)));
+}
+
 TEST(BytecodeLoops, VerifierFlagsMalformedLoops)
 {
     const UfcModel model;
@@ -652,6 +838,14 @@ TEST(BytecodeLoops, EngineRejectsMalformedLoopTable)
     ASSERT_FALSE(program.loops.empty());
     program.loops.front().end = program.code.size() + 1;
     EXPECT_THROW(model.execute(program), ConfigError);
+
+    // The Stream kernel runs loop bodies without a kind check, so a
+    // scratchpad instruction inside a body is refused up front too.
+    compiler::Program memBody = foldedTfheProgram(model);
+    const compiler::BcLoop &lp = memBody.loops.front();
+    memBody.code[lp.end - 1].kind = compiler::BcKind::Mem;
+    EXPECT_NE(executeRefusal(model, memBody).find("bc-loop-invariant"),
+              std::string::npos);
 }
 
 TEST(BytecodeLoops, DisassemblyShowsRepeats)

@@ -289,6 +289,45 @@ TEST(PhaseCacheDifferential, ForcedCollisionDoesNotReplayWrongState)
     EXPECT_EQ(cache.hits(), 2u);
 }
 
+TEST(PhaseCacheDifferential, LoopStartingAtSegmentBeginBitIdentical)
+{
+    // The engine must look a segment up (and close the previous one's
+    // snapshot) before it hands a loop starting at that index to the
+    // Stream kernel; otherwise the snapshot would already contain the
+    // loop and a warm run would replay it twice.  No builtin lowering
+    // opens a top-level phase right at a folded blind-rotate loop (each
+    // PBS iteration first charges its key), so split the PBS program's
+    // segment at a loop start: a boundary between a loop and the
+    // instruction before it is a legal memoization point.
+    const UfcModel model;
+    compiler::Program program =
+        model.compile(workloads::pbsThroughput(tfhe::TfheParams::t4(), 16));
+    ASSERT_EQ(program.segments.size(), 1u);
+    const compiler::PhaseSegment whole = program.segments.front();
+    const compiler::BcLoop &lp = program.loops[program.loops.size() / 2];
+    const u64 split = lp.end - lp.bodyLen;
+    ASSERT_GE(split - whole.begin, compiler::kMinSegmentInsts);
+    ASSERT_GE(whole.end - split, compiler::kMinSegmentInsts);
+    program.segments = {{whole.begin, split, whole.name},
+                        {split, whole.end, whole.name}};
+
+    size_t loopsAtBegin = 0;
+    for (const compiler::BcLoop &l : program.loops)
+        for (const compiler::PhaseSegment &seg : program.segments)
+            if (l.end - l.bodyLen == seg.begin)
+                ++loopsAtBegin;
+    ASSERT_GT(loopsAtBegin, 0u) << "no loop starts at a segment begin";
+
+    const std::string uncached = model.execute(program).toJson();
+    PhaseCache cache;
+    RunOptions opts;
+    opts.phaseCache = &cache;
+    EXPECT_EQ(model.execute(program, opts).toJson(), uncached) << "cold";
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(model.execute(program, opts).toJson(), uncached) << "warm";
+    EXPECT_GT(cache.hits(), 0u);
+}
+
 TEST(PhaseCacheDifferential, RepeatRunsHitEverySegment)
 {
     const UfcModel model;
