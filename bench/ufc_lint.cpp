@@ -27,6 +27,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -182,9 +183,11 @@ try {
                            : linter.analyze(subject.tr);
             if (rep.errorCount() == 0) {
                 analysis::DiagnosticReport lowered;
-                const sim::UfcPerf perf{sim::UfcConfig::tableII()};
-                const compiler::Program program = compiler::compileTrace(
-                    subject.tr, lowerOpts, perf, "UFC", &lowered);
+                const compiler::Program program = compiler::bind(
+                    std::make_shared<const compiler::LoweredProgram>(
+                        compiler::lowerTrace(subject.tr, lowerOpts,
+                                             &lowered)),
+                    sim::UfcPerf{sim::UfcConfig::tableII()}, "UFC");
                 compiler::verifyProgram(program, lowered);
                 rep.merge(lowered);
                 if (dataflow && rep.errorCount() == 0)

@@ -503,16 +503,16 @@ Analyzer::analyzeLowered(const Trace &tr,
     if (out.errorCount() > 0)
         return out;
     // One lowering pass serves both verification and bytecode emission:
-    // compileTrace() composes the VerifyingSink in front of its
+    // lowerTrace() composes the VerifyingSink in front of its
     // ProgramBuilder (via LoweringOptions::lint), and the emitted
-    // Program is then checked against the bytecode-level rules
-    // (bc-fuse-*).  The reference machine is the paper's Table II UFC
-    // configuration — instruction legality is machine-independent, the
-    // perf model only prices the cost terms.
+    // lowering is then checked against the bytecode-level rules
+    // (bc-fuse-*).  The rules are machine-independent, so the Table II
+    // UFC configuration binds it.
     DiagnosticReport lowered;
-    const sim::UfcPerf perf{sim::UfcConfig::tableII()};
-    const compiler::Program program =
-        compiler::compileTrace(tr, opts, perf, "UFC", &lowered);
+    const compiler::Program program = compiler::bind(
+        std::make_shared<const compiler::LoweredProgram>(
+            compiler::lowerTrace(tr, opts, &lowered)),
+        sim::UfcPerf{sim::UfcConfig::tableII()}, "UFC");
     compiler::verifyProgram(program, lowered);
     out.merge(lowered);
     return out;

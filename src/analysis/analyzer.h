@@ -102,7 +102,7 @@ class Analyzer
      * Bytecode-rule variant over an ALREADY-compiled Program: the
      * trace-level passes plus compiler::verifyProgram on `program`,
      * with no re-lowering — the pre-flight path for runs whose Program
-     * sits in the runner's ProgramCache.  Unlike the LoweringOptions
+     * was bound from the runner's ProgramCache.  Unlike the LoweringOptions
      * overload this cannot run the instruction-level VerifyingSink
      * rules (they need a live lowering); the bytecode rules subsume
      * the fusion/loop legality checks.

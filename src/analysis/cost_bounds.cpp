@@ -35,7 +35,7 @@ analyzeSingle(const compiler::Program &p)
     // Trip weight per instruction (folded loop bodies execute `trips`
     // times; loops are sorted and non-overlapping).
     std::vector<double> weight(p.code.size(), 1.0);
-    for (const compiler::BcLoop &lp : p.loops) {
+    for (const compiler::BcLoop &lp : p.lowered->loops) {
         if (lp.bodyLen == 0 || lp.end > p.code.size() ||
             lp.bodyLen > lp.end)
             continue; // malformed: verifyProgram reports it
@@ -50,12 +50,13 @@ analyzeSingle(const compiler::Program &p)
     double memUpper = 0.0;      // worst-case memory cycles
     for (u64 i = 0; i < p.code.size(); ++i) {
         const compiler::BcInst &inst = p.code[i];
+        const compiler::BcCost &c = p.cost[inst.shape];
         const double w = weight[i];
-        computeTotal += (inst.computeCycles + inst.fillCycles) * w;
+        computeTotal += (c.computeCycles + p.fillCycles) * w;
         if (inst.kind == compiler::BcKind::Stream) {
-            streamedBytes += inst.staticFetchBytes * w;
-            memLower += inst.staticMemCycles * w;
-            memUpper += inst.staticMemCycles * w;
+            streamedBytes += c.staticFetchBytes * w;
+            memLower += c.staticMemCycles * w;
+            memUpper += c.staticMemCycles * w;
         }
     }
 
@@ -70,9 +71,9 @@ analyzeSingle(const compiler::Program &p)
         if (inst.kind != compiler::BcKind::Mem)
             continue;
         const u64 end = static_cast<u64>(inst.bufBegin) + inst.bufCount;
-        for (u64 k = inst.bufBegin; k < end && k < p.bufs.size(); ++k)
-            if (p.bufs[k].streamed)
-                memStreamedBytes += p.bufs[k].bytes;
+        for (u64 k = inst.bufBegin; k < end && k < p.lowered->bufs.size(); ++k)
+            if (p.lowered->bufs[k].streamed)
+                memStreamedBytes += p.lowered->bufs[k].bytes;
     }
     double allReadBytes = 0.0; // every read misses (upper)
     for (const compiler::SlotAccess &a : acc) {

@@ -108,16 +108,16 @@ cfgFromProgram(const compiler::Program &p)
                    << "' has no single instruction stream; recover a CFG "
                       "per part");
     Cfg cfg;
-    cfg.phaseNames = p.phaseNames;
+    cfg.phaseNames = p.lowered->phaseNames;
     const u64 n = p.code.size();
     if (n == 0)
         return cfg;
 
     std::vector<u64> cuts;
-    cuts.reserve(p.phaseEvents.size() + p.loops.size() * 2);
-    for (const compiler::PhaseEvent &e : p.phaseEvents)
+    cuts.reserve(p.lowered->phaseEvents.size() + p.lowered->loops.size() * 2);
+    for (const compiler::PhaseEvent &e : p.lowered->phaseEvents)
         cuts.push_back(e.inst);
-    for (const compiler::BcLoop &lp : p.loops) {
+    for (const compiler::BcLoop &lp : p.lowered->loops) {
         cuts.push_back(lp.end - lp.bodyLen);
         cuts.push_back(lp.end);
     }
@@ -129,9 +129,9 @@ cfgFromProgram(const compiler::Program &p)
     std::vector<i32> stack;
     std::size_t ev = 0;
     for (CfgBlock &b : cfg.blocks) {
-        while (ev < p.phaseEvents.size() &&
-               p.phaseEvents[ev].inst <= b.begin) {
-            const i32 name = p.phaseEvents[ev].name;
+        while (ev < p.lowered->phaseEvents.size() &&
+               p.lowered->phaseEvents[ev].inst <= b.begin) {
+            const i32 name = p.lowered->phaseEvents[ev].name;
             if (name == compiler::PhaseEvent::kEnd) {
                 if (!stack.empty())
                     stack.pop_back();
@@ -147,7 +147,7 @@ cfgFromProgram(const compiler::Program &p)
     // each body exactly one block; a malformed body split by a stray
     // phase event degrades to per-fragment self edges, which the bounds
     // analyzer never relies on (it walks Program::loops directly).
-    for (const compiler::BcLoop &lp : p.loops) {
+    for (const compiler::BcLoop &lp : p.lowered->loops) {
         const u64 bodyBegin = lp.end - lp.bodyLen;
         for (u32 i = 0; i < cfg.blocks.size(); ++i) {
             CfgBlock &b = cfg.blocks[i];

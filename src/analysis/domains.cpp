@@ -353,7 +353,7 @@ std::string
 bcPhaseAt(const compiler::Program &p, u64 inst)
 {
     std::vector<i32> stack;
-    for (const compiler::PhaseEvent &e : p.phaseEvents) {
+    for (const compiler::PhaseEvent &e : p.lowered->phaseEvents) {
         if (e.inst > inst)
             break;
         if (e.name == compiler::PhaseEvent::kEnd) {
@@ -366,7 +366,7 @@ bcPhaseAt(const compiler::Program &p, u64 inst)
     if (stack.empty())
         return {};
     const auto idx = static_cast<std::size_t>(stack.back());
-    return idx < p.phaseNames.size() ? p.phaseNames[idx] : std::string();
+    return idx < p.lowered->phaseNames.size() ? p.lowered->phaseNames[idx] : std::string();
 }
 
 void
@@ -418,7 +418,7 @@ checkReplayPurity(const compiler::Program &p,
             ++i;
         }
     }
-    for (const compiler::BcLoop &lp : p.loops) {
+    for (const compiler::BcLoop &lp : p.lowered->loops) {
         if (lp.bodyLen == 0 || lp.end > p.code.size() ||
             lp.bodyLen > lp.end)
             continue; // bc-loop-invariant reports malformed rows
@@ -517,7 +517,7 @@ checkDeadStores(const compiler::Program &p,
                 const std::vector<compiler::SlotAccess> &acc,
                 DiagnosticReport &out)
 {
-    if (p.spadSlots == 0 || acc.empty())
+    if (p.lowered->spadSlots == 0 || acc.empty())
         return;
     const Cfg cfg = cfgFromProgram(p);
     // Value-accurate accesses per block, in order (folded loop bodies
@@ -537,7 +537,7 @@ checkDeadStores(const compiler::Program &p,
         }
     }
     using State = std::vector<char>;
-    const State exitState(p.spadSlots, 1); // everything may be output
+    const State exitState(p.lowered->spadSlots, 1); // everything may be output
     const auto meet = [](State &into, const State &from) {
         bool changed = false;
         for (std::size_t i = 0; i < into.size(); ++i)
@@ -557,7 +557,7 @@ checkDeadStores(const compiler::Program &p,
         }
         return s;
     };
-    const State bottom(p.spadSlots, 0);
+    const State bottom(p.lowered->spadSlots, 0);
     const std::vector<State> outs =
         solveBackward(cfg, exitState, bottom, meet, applyReverse);
 

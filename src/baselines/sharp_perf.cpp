@@ -113,5 +113,18 @@ SharpPerf::scratchpadBytes() const
     return cfg_.scratchpadMb * 1024.0 * 1024.0;
 }
 
+u64
+SharpPerf::configDigest() const
+{
+    // Every field of the config (the name aside): the cost model and the
+    // physical units read them all.
+    return sim::digestFields(
+        {cfg_.nttWordsPerCycle, double(cfg_.nttPipelineLogN),
+         cfg_.bconvMacsPerCycle, cfg_.elewWordsPerCycle,
+         cfg_.nocWordsPerCycle, cfg_.hbmGBs, cfg_.scratchpadMb,
+         cfg_.freqGHz, double(cfg_.wordBits), cfg_.areaMm2, cfg_.staticW,
+         cfg_.peakDynamicW});
+}
+
 } // namespace baselines
 } // namespace ufc

@@ -113,5 +113,18 @@ StrixPerf::scratchpadBytes() const
     return cfg_.scratchpadMb * 1024.0 * 1024.0;
 }
 
+u64
+StrixPerf::configDigest() const
+{
+    // Every field of the config (the name aside): the cost model and the
+    // physical units read them all.
+    return sim::digestFields(
+        {double(cfg_.butterflies), double(cfg_.designLogN),
+         double(cfg_.maxLogN), cfg_.macWordsPerCycle, cfg_.pipelineEff,
+         cfg_.lweWordsPerCycle, cfg_.hbmGBs, cfg_.scratchpadMb,
+         cfg_.freqGHz, double(cfg_.wordBits), cfg_.areaMm2, cfg_.staticW,
+         cfg_.peakDynamicW});
+}
+
 } // namespace baselines
 } // namespace ufc

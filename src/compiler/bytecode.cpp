@@ -19,6 +19,7 @@
 
 #include "analysis/diagnostic.h"
 #include "common/error.h"
+#include "metrics/metrics.h"
 #include "sim/engine.h"
 #include "trace/serialize.h"
 
@@ -29,6 +30,21 @@ namespace {
 
 std::atomic<u64> gLivePrograms{0};
 std::atomic<u64> gPeakLivePrograms{0};
+
+/** Count one lowering or one bind in the metrics registry. */
+void
+countCompileStep(bool lowering)
+{
+    if (!metrics::enabled())
+        return;
+    static metrics::Counter &lowerings = metrics::counter(
+        "ufc_compiler_lowerings_total",
+        "Traces lowered to a LoweredProgram");
+    static metrics::Counter &binds = metrics::counter(
+        "ufc_compiler_binds_total",
+        "Lowerings bound to a machine's cost rows");
+    (lowering ? lowerings : binds).inc();
+}
 
 } // namespace
 
@@ -91,16 +107,17 @@ fuseKindName(FuseKind kind)
     return "unknown";
 }
 
-ProgramBuilder::ProgramBuilder(const sim::MachinePerf *perf, Program *out)
-    : perf_(perf), out_(out)
+const std::shared_ptr<const LoweredProgram> &
+detail::emptyLowering()
 {
-    out_->hbmBytesPerCycle = perf_->hbmBytesPerCycle();
-    out_->scratchpadBytes = perf_->scratchpadBytes();
-    // Per-machine constants, hoisted out of the per-instruction path
-    // (issue() runs a few hundred thousand times per compile).
-    fillCycles_ = perf_->pipelineFillCycles();
-    hbmBpc_ = out_->hbmBytesPerCycle;
+    static const auto *empty = new std::shared_ptr<const LoweredProgram>(
+        std::make_shared<const LoweredProgram>()); // never freed
+    return *empty;
 }
+
+ProgramBuilder::ProgramBuilder(LoweredProgram *out)
+    : out_(out), shapeIndex_(64, 0)
+{}
 
 u32
 ProgramBuilder::slotFor(u64 id)
@@ -113,18 +130,68 @@ ProgramBuilder::slotFor(u64 id)
     return slot;
 }
 
+namespace {
+
+bool
+sameShape(const BcShape &a, const BcShape &b)
+{
+    return a.op == b.op && a.logDegree == b.logDegree &&
+           a.batch == b.batch && a.words == b.words && a.work == b.work &&
+           std::bit_cast<u64>(a.staticFetchBytes) ==
+               std::bit_cast<u64>(b.staticFetchBytes);
+}
+
+u64
+shapeHash(const BcShape &s)
+{
+    u64 h = trace::detail::kFnvOffset;
+    trace::detail::mix64(h, (static_cast<u64>(s.op) << 32) ^ s.logDegree ^
+                                (static_cast<u64>(s.batch) << 40));
+    trace::detail::mix64(h, s.words);
+    trace::detail::mix64(h, s.work);
+    trace::detail::mix64(h, std::bit_cast<u64>(s.staticFetchBytes));
+    return h;
+}
+
+} // namespace
+
+u32
+ProgramBuilder::shapeFor(const BcShape &shape)
+{
+    auto &shapes = out_->shapes;
+    size_t mask = shapeIndex_.size() - 1;
+    size_t at = shapeHash(shape) & mask;
+    for (; shapeIndex_[at] != 0; at = (at + 1) & mask)
+        if (sameShape(shapes[shapeIndex_[at] - 1], shape))
+            return shapeIndex_[at] - 1;
+    const u32 id = static_cast<u32>(shapes.size());
+    shapes.push_back(shape);
+    shapeIndex_[at] = id + 1;
+    if (2 * shapes.size() > shapeIndex_.size()) {
+        // Keep the load at most 1/2: rehash into twice the slots.
+        std::vector<u32> grown(2 * shapeIndex_.size(), 0);
+        mask = grown.size() - 1;
+        for (u32 k = 0; k < shapes.size(); ++k) {
+            size_t pos = shapeHash(shapes[k]) & mask;
+            while (grown[pos] != 0)
+                pos = (pos + 1) & mask;
+            grown[pos] = k + 1;
+        }
+        shapeIndex_.swap(grown);
+    }
+    return id;
+}
+
 void
 ProgramBuilder::issue(const isa::HwInst &inst)
 {
     BcInst b;
-    // Pure functions of (inst, const machine config): the values the IR
-    // engine would compute at issue time, captured once.
-    b.computeCycles = perf_->computeCycles(inst);
-    b.busyLaneCycles = b.computeCycles * perf_->laneFraction(inst);
-    b.nocCycles = perf_->nocCycles(inst);
-    b.fillCycles = fillCycles_;
-    b.op = static_cast<u8>(inst.op);
-    b.resource = static_cast<u8>(perf_->resourceFor(inst));
+    BcShape shape;
+    shape.op = static_cast<u8>(inst.op);
+    shape.logDegree = inst.logDegree;
+    shape.batch = inst.batch;
+    shape.words = inst.words;
+    shape.work = inst.work;
 
     bool cached = false;
     for (const auto &ref : inst.buffers) {
@@ -136,18 +203,17 @@ ProgramBuilder::issue(const isa::HwInst &inst)
 
     if (!cached) {
         // No scratchpad interaction: the whole memory phase folds into
-        // two constants.  Transient refs contribute exactly nothing in
-        // the IR engine (access() returns 0, hit accounting excludes
-        // them), and the streamed-bytes sum keeps operand order, so the
-        // compile-time accumulation is bit-identical to the runtime one.
+        // the shape's streamed bytes (and, once bound, their cycles).
+        // Transient refs contribute exactly nothing in the IR engine
+        // (access() returns 0, hit accounting excludes them), and the
+        // streamed-bytes sum keeps operand order, so the lowering-time
+        // accumulation is bit-identical to the runtime one.
         b.kind = BcKind::Stream;
         double fetch = 0.0;
         for (const auto &ref : inst.buffers)
             if (!ref.transient)
                 fetch += static_cast<double>(ref.bytes);
-        b.staticFetchBytes = fetch;
-        // Same division the engine performs (not a multiply-by-inverse).
-        b.staticMemCycles = fetch / hbmBpc_;
+        shape.staticFetchBytes = fetch;
     } else {
         b.kind = BcKind::Mem;
         b.bufBegin = static_cast<u32>(out_->bufs.size());
@@ -172,10 +238,8 @@ ProgramBuilder::issue(const isa::HwInst &inst)
                        << " operand buffers exceeds the bytecode limit");
         b.bufCount = static_cast<u16>(count);
     }
-
+    b.shape = shapeFor(shape);
     out_->code.push_back(b);
-    out_->debug.push_back(
-        BcDebug{inst.logDegree, inst.batch, inst.words, inst.work});
 }
 
 void
@@ -241,15 +305,12 @@ ProgramBuilder::endRepeat()
     if (!pure) {
         // A body with cached operands has LRU-dependent memory cost, so
         // a structural loop would diverge from the unrolled stream.
-        // Unroll here instead: BcInst/BcDebug records are value types
-        // and copies may share the (read-only) BcBuf ranges.
+        // Unroll here instead: BcInst records are value types and
+        // copies may share the (read-only) BcBuf ranges and shapes.
         const u64 bodyLen = end - repeatStart_;
-        for (u64 t = 1; t < repeatTrips_; ++t) {
-            for (u64 i = 0; i < bodyLen; ++i) {
+        for (u64 t = 1; t < repeatTrips_; ++t)
+            for (u64 i = 0; i < bodyLen; ++i)
                 out_->code.push_back(out_->code[repeatStart_ + i]);
-                out_->debug.push_back(out_->debug[repeatStart_ + i]);
-            }
-        }
         return;
     }
 
@@ -262,38 +323,40 @@ ProgramBuilder::endRepeat()
 
 /**
  * Digest of everything that determines how code[begin, end) executes on
- * this Program's machine: the pre-computed cost terms, the packed flag
- * fields, Mem operand records (slot/bytes/flags — buffer ids are
- * diagnostics only and deliberately excluded), and the loop rows inside
- * the segment with `end` re-based to the segment so position in the
- * program does not matter.  Doubles are hashed by bit pattern; BcInst is
- * never hashed as raw memory (it has tail padding).
+ * this Program's machine: the bound cost row of each instruction, the
+ * packed flag fields, Mem operand records (slot/bytes/flags — buffer ids
+ * are diagnostics only and deliberately excluded), and the loop rows
+ * inside the segment with `end` re-based to the segment so position in
+ * the program does not matter.  Doubles are hashed by bit pattern;
+ * BcInst and BcCost are never hashed as raw memory (they have padding).
  */
 u64
 segmentContentHash(const Program &p, u64 begin, u64 end)
 {
     using trace::detail::mix64;
     const auto bits = [](double v) { return std::bit_cast<u64>(v); };
+    const LoweredProgram &lp = *p.lowered;
     u64 h = trace::detail::kFnvOffset;
     mix64(h, bits(p.hbmBytesPerCycle));
     mix64(h, bits(p.scratchpadBytes));
-    mix64(h, static_cast<u64>(p.spadSlots));
+    mix64(h, bits(p.fillCycles));
+    mix64(h, static_cast<u64>(lp.spadSlots));
     mix64(h, end - begin);
     for (u64 i = begin; i < end; ++i) {
-        const BcInst &b = p.code[static_cast<size_t>(i)];
+        const BcInst &b = lp.code[static_cast<size_t>(i)];
+        const BcCost &c = p.cost[b.shape];
         // Fold the instruction's fields into one word with position-
         // distinguishing rotations, then apply a single strong mix:
-        // this runs for every instruction of every phase region on
-        // every compile, and per-field mixing tripled compile time.
-        u64 acc = bits(b.computeCycles);
-        acc = std::rotl(acc, 9) ^ bits(b.busyLaneCycles);
-        acc = std::rotl(acc, 9) ^ bits(b.nocCycles);
-        acc = std::rotl(acc, 9) ^ bits(b.fillCycles);
-        acc = std::rotl(acc, 9) ^ bits(b.staticFetchBytes);
-        acc = std::rotl(acc, 9) ^ bits(b.staticMemCycles);
+        // this runs for every instruction of every phase region, and
+        // per-field mixing tripled the cost.
+        u64 acc = bits(c.computeCycles);
+        acc = std::rotl(acc, 9) ^ bits(c.busyLaneCycles);
+        acc = std::rotl(acc, 9) ^ bits(c.nocCycles);
+        acc = std::rotl(acc, 9) ^ bits(c.staticFetchBytes);
+        acc = std::rotl(acc, 9) ^ bits(c.staticMemCycles);
         acc = std::rotl(acc, 9) ^ ((static_cast<u64>(b.runLen) << 24) |
-                                   (static_cast<u64>(b.op) << 16) |
-                                   (static_cast<u64>(b.resource) << 8) |
+                                   (static_cast<u64>(c.op) << 16) |
+                                   (static_cast<u64>(c.resource) << 8) |
                                    (static_cast<u64>(b.kind) << 4) |
                                    static_cast<u64>(b.fuse));
         mix64(h, acc);
@@ -301,7 +364,7 @@ segmentContentHash(const Program &p, u64 begin, u64 end)
             mix64(h, static_cast<u64>(b.bufCount));
             for (u16 k = 0; k < b.bufCount; ++k) {
                 const BcBuf &buf =
-                    p.bufs[b.bufBegin + static_cast<u32>(k)];
+                    lp.bufs[b.bufBegin + static_cast<u32>(k)];
                 u64 ba = bits(buf.bytes);
                 ba = std::rotl(ba, 9) ^ static_cast<u64>(buf.slot);
                 ba = std::rotl(ba, 9) ^ ((buf.write ? 2u : 0u) |
@@ -310,14 +373,14 @@ segmentContentHash(const Program &p, u64 begin, u64 end)
             }
         }
     }
-    for (const BcLoop &lp : p.loops) {
-        const u64 start = lp.end - lp.bodyLen;
+    for (const BcLoop &loop : lp.loops) {
+        const u64 start = loop.end - loop.bodyLen;
         // Loops never straddle phase markers (bc-loop-invariant), so a
         // loop is either fully inside the segment or fully outside.
-        if (start >= begin && lp.end <= end) {
-            mix64(h, lp.end - begin);
-            mix64(h, static_cast<u64>(lp.bodyLen));
-            mix64(h, lp.trips);
+        if (start >= begin && loop.end <= end) {
+            mix64(h, loop.end - begin);
+            mix64(h, static_cast<u64>(loop.bodyLen));
+            mix64(h, loop.trips);
         }
     }
     return h;
@@ -329,7 +392,7 @@ namespace {
  *  Bounds only — content digests are computed on demand by the engine
  *  (segmentContentHash), so compiling never pays for hashing. */
 void
-computeSegments(Program &p)
+computeSegments(LoweredProgram &p)
 {
     int depth = 0;
     u64 openInst = 0;
@@ -435,73 +498,20 @@ ProgramBuilder::fuse()
     }
 }
 
-namespace {
-
-/** Sizing pre-pass: counts the records the real lowering will emit so
- *  the Program vectors can be reserved exactly — growth reallocations
- *  (copy + fresh-page faults) otherwise dominate compile time.  Accepts
- *  repeat folds like the builder, so folded bodies are counted once. */
-struct SizingSink final : isa::InstSink
+LoweredProgram
+lowerTrace(const trace::Trace &tr, const LoweringOptions &opts,
+           analysis::DiagnosticReport *lint)
 {
-    u64 insts = 0;
-    u64 bufs = 0;
-
-    void
-    issue(const isa::HwInst &inst) override
-    {
-        ++insts;
-        bool cached = false;
-        for (const auto &ref : inst.buffers) {
-            if (!ref.transient && !ref.streaming) {
-                cached = true;
-                break;
-            }
-        }
-        if (!cached)
-            return;
-        for (const auto &ref : inst.buffers) {
-            if (ref.transient)
-                continue;
-            if (ref.streaming && ref.bytes == 0)
-                continue;
-            ++bufs;
-        }
-    }
-    bool beginRepeat(u64) override { return true; }
-};
-
-} // namespace
-
-Program
-compileTrace(const trace::Trace &tr, const LoweringOptions &opts,
-             const sim::MachinePerf &perf, const std::string &machineName,
-             analysis::DiagnosticReport *lint)
-{
-    Program p;
+    LoweredProgram p;
     p.workload = tr.name;
-    p.machine = machineName;
     p.traceHash = trace::contentHash(tr);
-    {
-        // No lint and no cost model on the sizing pass; the verifying
-        // pass below sees the identical stream.  The counts are a
-        // reservation hint only — an undercount (e.g. a future builder
-        // unrolling an impure repeat the sizing sink folded) just means
-        // one vector growth, not an error.
-        SizingSink sizing;
-        LoweringOptions sopts = opts;
-        sopts.lint = nullptr;
-        Lowering presize(&tr, sopts, &sizing);
-        presize.run();
-        p.code.reserve(sizing.insts);
-        p.debug.reserve(sizing.insts);
-        p.bufs.reserve(sizing.bufs);
-    }
-    ProgramBuilder builder(&perf, &p);
+    ProgramBuilder builder(&p);
     LoweringOptions lopts = opts;
     lopts.lint = lint;
     Lowering lowering(&tr, lopts, &builder);
     lowering.run();
     builder.finish();
+    countCompileStep(true);
     return p;
 }
 
@@ -512,16 +522,14 @@ namespace {
  * validated op lowers as soon as its line parses, so memory held is the
  * reader's partial line plus the marker queue — never the op vector.
  * Enforces the chunk-protocol restrictions documented on
- * compileTraceStream (header first, markers before their ops).
+ * lowerTraceStream (header first, markers before their ops).
  */
 class StreamingCompileSink final : public trace::TraceSink
 {
   public:
-    StreamingCompileSink(Program *out, const LoweringOptions &opts,
-                         const sim::MachinePerf &perf,
+    StreamingCompileSink(LoweredProgram *out, const LoweringOptions &opts,
                          const StreamOpCheck &opCheck)
-        : out_(out), opts_(opts), builder_(&perf, out),
-          opCheck_(opCheck)
+        : out_(out), opts_(opts), builder_(out), opCheck_(opCheck)
     {
     }
 
@@ -624,7 +632,7 @@ class StreamingCompileSink final : public trace::TraceSink
         lowering_.emplace(&header_, opts_, &builder_);
     }
 
-    Program *out_;
+    LoweredProgram *out_;
     LoweringOptions opts_;
     ProgramBuilder builder_;
     StreamOpCheck opCheck_;
@@ -637,21 +645,18 @@ class StreamingCompileSink final : public trace::TraceSink
 
 } // namespace
 
-Program
-compileTraceStream(std::istream &is, const LoweringOptions &opts,
-                   const sim::MachinePerf &perf,
-                   const std::string &machineName,
-                   analysis::DiagnosticReport *lint,
-                   const StreamOpCheck &opCheck, std::size_t chunkBytes,
-                   std::size_t *peakBufferedBytes)
+LoweredProgram
+lowerTraceStream(std::istream &is, const LoweringOptions &opts,
+                 analysis::DiagnosticReport *lint,
+                 const StreamOpCheck &opCheck, std::size_t chunkBytes,
+                 std::size_t *peakBufferedBytes)
 {
     UFC_EXPECT(chunkBytes > 0, ConfigError,
-               "compileTraceStream: chunkBytes must be positive");
-    Program p;
-    p.machine = machineName;
+               "lowerTraceStream: chunkBytes must be positive");
+    LoweredProgram p;
     LoweringOptions lopts = opts;
     lopts.lint = lint;
-    StreamingCompileSink sink(&p, lopts, perf, opCheck);
+    StreamingCompileSink sink(&p, lopts, opCheck);
     trace::TraceReader reader(&sink);
     std::vector<char> chunk(chunkBytes);
     while (!reader.done() && is) {
@@ -663,9 +668,64 @@ compileTraceStream(std::istream &is, const LoweringOptions &opts,
         reader.feed(chunk.data(), got);
     }
     reader.finish();
+    countCompileStep(true);
     if (peakBufferedBytes)
         *peakBufferedBytes = reader.peakBufferedBytes();
     return p;
+}
+
+Program
+bind(std::shared_ptr<const LoweredProgram> lowered,
+     const sim::MachinePerf &perf, const std::string &machineName)
+{
+    UFC_EXPECT(lowered->parts.empty(), ConfigError,
+               "composed lowering '" << lowered->workload
+                   << "' bound as one chip; bind each part");
+    Program p;
+    p.machine = machineName;
+    p.workload = lowered->workload;
+    p.traceHash = lowered->traceHash;
+    p.configDigest = perf.configDigest();
+    p.hbmBytesPerCycle = perf.hbmBytesPerCycle();
+    p.scratchpadBytes = perf.scratchpadBytes();
+    p.fillCycles = perf.pipelineFillCycles();
+    p.cost.reserve(lowered->shapes.size());
+    isa::HwInst inst;
+    for (const BcShape &shape : lowered->shapes) {
+        // Pure functions of (shape, const machine config): the values
+        // the IR engine computes at issue time, evaluated once per shape.
+        inst.op = static_cast<isa::HwOp>(shape.op);
+        inst.logDegree = shape.logDegree;
+        inst.batch = shape.batch;
+        inst.words = shape.words;
+        inst.work = shape.work;
+        BcCost c;
+        c.computeCycles = perf.computeCycles(inst);
+        c.busyLaneCycles = c.computeCycles * perf.laneFraction(inst);
+        c.nocCycles = perf.nocCycles(inst);
+        c.staticFetchBytes = shape.staticFetchBytes;
+        // Same division the engine performs (not a multiply-by-inverse).
+        c.staticMemCycles = shape.staticFetchBytes / p.hbmBytesPerCycle;
+        c.op = shape.op;
+        c.resource = static_cast<u8>(perf.resourceFor(inst));
+        p.cost.push_back(c);
+    }
+    p.lowered = std::move(lowered);
+    p.code = p.lowered->code;
+    countCompileStep(false);
+    return p;
+}
+
+std::string
+loweringOptionsKey(const LoweringOptions &opts)
+{
+    std::ostringstream os;
+    os << "w" << opts.wordBits << "/l" << opts.totalVectorLanes << "/a"
+       << opts.autoViaNtt << "/r" << opts.rotateAsMonomialMul << "/p"
+       << opts.smallPolyPacking << "/"
+       << static_cast<int>(opts.parallelism) << "/k"
+       << opts.onTheFlyKeyGen;
+    return os.str();
 }
 
 std::vector<SlotAccess>
@@ -675,14 +735,15 @@ slotAccesses(const Program &p)
                "slotAccesses: composed Program '"
                    << p.workload
                    << "' has no single scratchpad; export each part");
+    const std::vector<BcBuf> &bufs = p.lowered->bufs;
     std::vector<SlotAccess> out;
     for (u64 i = 0; i < p.code.size(); ++i) {
         const BcInst &inst = p.code[i];
         if (inst.kind != BcKind::Mem)
             continue;
         const u64 end = static_cast<u64>(inst.bufBegin) + inst.bufCount;
-        for (u64 b = inst.bufBegin; b < end && b < p.bufs.size(); ++b) {
-            const BcBuf &buf = p.bufs[b];
+        for (u64 b = inst.bufBegin; b < end && b < bufs.size(); ++b) {
+            const BcBuf &buf = bufs[b];
             if (buf.slot == BcBuf::kNoSlot || buf.streamed)
                 continue;
             out.push_back(
@@ -708,6 +769,16 @@ addFinding(analysis::DiagnosticReport &out, const char *rule,
     out.add(d);
 }
 
+/** Opcode of code[k] for diagnostics (tolerates a bad shape id). */
+isa::HwOp
+opOf(const LoweredProgram &lp, u64 k)
+{
+    const u32 shape = lp.code[k].shape;
+    return shape < lp.shapes.size()
+               ? static_cast<isa::HwOp>(lp.shapes[shape].op)
+               : isa::HwOp::NumHwOps;
+}
+
 } // namespace
 
 void
@@ -715,34 +786,35 @@ verifyProgram(const Program &program, analysis::DiagnosticReport &out)
 {
     for (const auto &part : program.parts)
         verifyProgram(part, out);
+    const LoweredProgram &lp = *program.lowered;
 
-    std::vector<u8> boundary(program.code.size() + 1, 0);
-    for (const auto &ev : program.phaseEvents)
-        if (ev.inst <= program.code.size())
+    std::vector<u8> boundary(lp.code.size() + 1, 0);
+    for (const auto &ev : lp.phaseEvents)
+        if (ev.inst <= lp.code.size())
             boundary[static_cast<size_t>(ev.inst)] = 1;
 
     // Folded loops: bounds, ordering, purity and phase containment.
     u64 prevEnd = 0;
-    for (size_t li = 0; li < program.loops.size(); ++li) {
-        const BcLoop &lp = program.loops[li];
+    for (size_t li = 0; li < lp.loops.size(); ++li) {
+        const BcLoop &loop = lp.loops[li];
         const std::ptrdiff_t at =
-            static_cast<std::ptrdiff_t>(lp.end) - lp.bodyLen;
-        if (lp.bodyLen == 0 || lp.trips < 2 ||
-            lp.end > program.code.size() || lp.bodyLen > lp.end) {
+            static_cast<std::ptrdiff_t>(loop.end) - loop.bodyLen;
+        if (loop.bodyLen == 0 || loop.trips < 2 ||
+            loop.end > lp.code.size() || loop.bodyLen > loop.end) {
             std::ostringstream os;
-            os << "loop#" << li << " (end=" << lp.end << " body="
-               << lp.bodyLen << " trips=" << lp.trips
+            os << "loop#" << li << " (end=" << loop.end << " body="
+               << loop.bodyLen << " trips=" << loop.trips
                << ") is degenerate or out of bounds ("
-               << program.code.size() << " instructions)";
+               << lp.code.size() << " instructions)";
             addFinding(out, "bc-loop-invariant", at, os.str(),
                        "folded repeats need a non-empty in-bounds body "
                        "and at least two trips");
             continue;
         }
-        const u64 start = lp.end - lp.bodyLen;
+        const u64 start = loop.end - loop.bodyLen;
         if (start < prevEnd) {
             std::ostringstream os;
-            os << "loop#" << li << " [" << start << ", " << lp.end
+            os << "loop#" << li << " [" << start << ", " << loop.end
                << ") overlaps or is unsorted against the previous loop "
                << "(ends at " << prevEnd << ")";
             addFinding(out, "bc-loop-invariant",
@@ -750,14 +822,13 @@ verifyProgram(const Program &program, analysis::DiagnosticReport &out)
                        "loops must be disjoint and sorted by end so the "
                        "executor's single cursor replays them");
         }
-        prevEnd = lp.end;
-        for (u64 k = start; k < lp.end; ++k) {
-            if (program.code[k].kind == BcKind::Mem) {
+        prevEnd = loop.end;
+        for (u64 k = start; k < loop.end; ++k) {
+            if (lp.code[k].kind == BcKind::Mem) {
                 std::ostringstream os;
-                os << "loop#" << li << " [" << start << ", " << lp.end
+                os << "loop#" << li << " [" << start << ", " << loop.end
                    << ") body contains inst#" << k << " ("
-                   << isa::opName(
-                          static_cast<isa::HwOp>(program.code[k].op))
+                   << isa::opName(opOf(lp, k))
                    << ") with a cached scratchpad operand";
                 addFinding(out, "bc-loop-invariant",
                            static_cast<std::ptrdiff_t>(k), os.str(),
@@ -767,10 +838,10 @@ verifyProgram(const Program &program, analysis::DiagnosticReport &out)
                 break;
             }
         }
-        for (const auto &ev : program.phaseEvents) {
-            if (ev.inst > start && ev.inst < lp.end) {
+        for (const auto &ev : lp.phaseEvents) {
+            if (ev.inst > start && ev.inst < loop.end) {
                 std::ostringstream os;
-                os << "loop#" << li << " [" << start << ", " << lp.end
+                os << "loop#" << li << " [" << start << ", " << loop.end
                    << ") contains a phase marker before inst#" << ev.inst;
                 addFinding(out, "bc-loop-invariant",
                            static_cast<std::ptrdiff_t>(ev.inst), os.str(),
@@ -780,21 +851,21 @@ verifyProgram(const Program &program, analysis::DiagnosticReport &out)
             }
         }
         // Loop edges break fused runs exactly like phase markers.
-        if (lp.end <= program.code.size()) {
+        if (loop.end <= lp.code.size()) {
             boundary[static_cast<size_t>(start)] = 1;
-            boundary[static_cast<size_t>(lp.end)] = 1;
+            boundary[static_cast<size_t>(loop.end)] = 1;
         }
     }
 
-    for (size_t i = 0; i < program.code.size(); ++i) {
-        const BcInst &head = program.code[i];
+    for (size_t i = 0; i < lp.code.size(); ++i) {
+        const BcInst &head = lp.code[i];
         if (head.runLen <= 1)
             continue;
         const size_t end = i + head.runLen;
-        if (end > program.code.size()) {
+        if (end > lp.code.size()) {
             std::ostringstream os;
             os << "fused run of " << head.runLen << " at inst#" << i
-               << " overruns the program (" << program.code.size()
+               << " overruns the program (" << lp.code.size()
                << " instructions)";
             addFinding(out, "bc-fuse-phase-span",
                        static_cast<std::ptrdiff_t>(i), os.str(),
@@ -802,12 +873,11 @@ verifyProgram(const Program &program, analysis::DiagnosticReport &out)
             continue;
         }
         for (size_t k = i; k < end; ++k) {
-            if (program.code[k].kind == BcKind::Mem) {
+            if (lp.code[k].kind == BcKind::Mem) {
                 std::ostringstream os;
                 os << "fused run [" << i << ", " << end << ") contains "
                    << "inst#" << k << " ("
-                   << isa::opName(static_cast<isa::HwOp>(
-                          program.code[k].op))
+                   << isa::opName(opOf(lp, k))
                    << ") with a cached scratchpad operand";
                 addFinding(out, "bc-fuse-cached-operand",
                            static_cast<std::ptrdiff_t>(i), os.str(),
@@ -852,28 +922,28 @@ disassemble(const Program &program, std::ostream &os)
         }
         return;
     }
-    os << "  insts=" << program.code.size() << " bufs="
-       << program.bufs.size() << " slots=" << program.spadSlots
+    const LoweredProgram &lp = *program.lowered;
+    os << "  insts=" << lp.code.size() << " shapes=" << lp.shapes.size()
+       << " bufs=" << lp.bufs.size() << " slots=" << lp.spadSlots
        << " spad_bytes=" << program.scratchpadBytes << " hbm_Bpc="
-       << program.hbmBytesPerCycle << " fused_runs="
-       << program.fusedRuns << " fused_insts=" << program.fusedInsts
-       << " loops=" << program.loops.size() << " executed="
+       << program.hbmBytesPerCycle << " fill=" << program.fillCycles
+       << " fused_runs=" << lp.fusedRuns << " fused_insts="
+       << lp.fusedInsts << " loops=" << lp.loops.size() << " executed="
        << program.totalInsts() << "\n";
-    if (!program.segments.empty()) {
+    if (!lp.segments.empty()) {
         // Phase-cache debuggability: the content digest of each
         // memoizable region plus the cache-key base at the default run
         // parameters (prefetchWindow=kDefaultPrefetchWindow, no
         // maxCycles watchdog); the engine folds its entry state on top.
-        os << "  segments=" << program.segments.size()
+        os << "  segments=" << lp.segments.size()
            << " (phase cache; key base at window="
            << sim::CycleEngine::kDefaultPrefetchWindow
            << " maxCycles=0)\n";
-        for (size_t s = 0; s < program.segments.size(); ++s) {
-            const PhaseSegment &seg = program.segments[s];
+        for (size_t s = 0; s < lp.segments.size(); ++s) {
+            const PhaseSegment &seg = lp.segments[s];
             const char *name =
                 seg.name >= 0
-                    ? program.phaseNames[static_cast<size_t>(seg.name)]
-                          .c_str()
+                    ? lp.phaseNames[static_cast<size_t>(seg.name)].c_str()
                     : "?";
             const u64 digest =
                 segmentContentHash(program, seg.begin, seg.end);
@@ -886,21 +956,37 @@ disassemble(const Program &program, std::ostream &os)
                << std::dec << std::noshowbase << "\n";
         }
     }
+    // The shape table: what each shape id below costs on this machine.
+    for (size_t k = 0; k < lp.shapes.size(); ++k) {
+        const BcShape &sh = lp.shapes[k];
+        const BcCost &c = program.cost[k];
+        os << "  shape#" << k << " "
+           << isa::opName(static_cast<isa::HwOp>(sh.op)) << " res="
+           << isa::resourceName(static_cast<isa::Resource>(c.resource))
+           << " logN=" << sh.logDegree << " batch=" << sh.batch
+           << " words=" << sh.words << " work=" << sh.work << " c="
+           << c.computeCycles << " lane_c=" << c.busyLaneCycles
+           << " noc=" << c.nocCycles;
+        if (sh.staticFetchBytes != 0.0)
+            os << " stream_bytes=" << sh.staticFetchBytes
+               << " stream_cycles=" << c.staticMemCycles;
+        os << "\n";
+    }
 
     size_t ev = 0;
-    const auto &events = program.phaseEvents;
+    const auto &events = lp.phaseEvents;
     int depth = 0;
+    const auto indent = [&] {
+        return std::string(2 + 2 * static_cast<size_t>(depth), ' ');
+    };
     const auto emitEvents = [&](size_t upTo) {
         while (ev < events.size() && events[ev].inst == upTo) {
             if (events[ev].name == PhaseEvent::kEnd) {
                 depth = std::max(0, depth - 1);
-                os << std::string(2 + 2 * static_cast<size_t>(depth), ' ')
-                   << "}\n";
+                os << indent() << "}\n";
             } else {
-                os << std::string(2 + 2 * static_cast<size_t>(depth), ' ')
-                   << "phase "
-                   << program
-                          .phaseNames[static_cast<size_t>(events[ev].name)]
+                os << indent() << "phase "
+                   << lp.phaseNames[static_cast<size_t>(events[ev].name)]
                    << " {\n";
                 ++depth;
             }
@@ -911,43 +997,30 @@ disassemble(const Program &program, std::ostream &os)
     size_t li = 0;
     bool inLoop = false;
     const auto loopEdges = [&](size_t i) {
-        if (inLoop && i == program.loops[li].end) {
+        if (inLoop && i == lp.loops[li].end) {
             depth = std::max(0, depth - 1);
-            os << std::string(2 + 2 * static_cast<size_t>(depth), ' ')
-               << "}\n";
+            os << indent() << "}\n";
             ++li;
             inLoop = false;
         }
         emitEvents(i); // markers at a loop edge sit outside the body
-        if (!inLoop && li < program.loops.size() &&
-            i == program.loops[li].end - program.loops[li].bodyLen) {
-            os << std::string(2 + 2 * static_cast<size_t>(depth), ' ')
-               << "repeat " << program.loops[li].trips << "x {\n";
+        if (!inLoop && li < lp.loops.size() &&
+            i == lp.loops[li].end - lp.loops[li].bodyLen) {
+            os << indent() << "repeat " << lp.loops[li].trips << "x {\n";
             ++depth;
             inLoop = true;
         }
     };
 
-    for (size_t i = 0; i < program.code.size(); ++i) {
+    for (size_t i = 0; i < lp.code.size(); ++i) {
         loopEdges(i);
-        const BcInst &b = program.code[i];
-        const BcDebug &dbg = program.debug[i];
-        os << std::string(2 + 2 * static_cast<size_t>(depth), ' ')
-           << std::setw(5) << i << " "
-           << isa::opName(static_cast<isa::HwOp>(b.op)) << " res="
-           << isa::resourceName(static_cast<isa::Resource>(b.resource))
-           << " logN=" << dbg.logDegree << " batch=" << dbg.batch
-           << " words=" << dbg.words << " work=" << dbg.work << " c="
-           << b.computeCycles << " lane_c=" << b.busyLaneCycles
-           << " noc=" << b.nocCycles << " fill=" << b.fillCycles;
-        if (b.kind == BcKind::Stream) {
-            os << " stream_bytes=" << b.staticFetchBytes
-               << " stream_cycles=" << b.staticMemCycles;
-        } else {
+        const BcInst &b = lp.code[i];
+        os << indent() << std::setw(5) << i << " shape#" << b.shape << " "
+           << isa::opName(opOf(lp, i));
+        if (b.kind == BcKind::Mem) {
             os << " bufs=[";
             for (u16 k = 0; k < b.bufCount; ++k) {
-                const BcBuf &buf =
-                    program.bufs[b.bufBegin + static_cast<u32>(k)];
+                const BcBuf &buf = lp.bufs[b.bufBegin + static_cast<u32>(k)];
                 if (k)
                     os << " ";
                 if (buf.streamed)
@@ -966,7 +1039,7 @@ disassemble(const Program &program, std::ostream &os)
                << fuseKindName(b.fuse);
         os << "\n";
     }
-    loopEdges(program.code.size());
+    loopEdges(lp.code.size());
 }
 
 } // namespace compiler

@@ -1,30 +1,44 @@
 /**
  * @file
- * Trace-to-bytecode JIT: the compiled Program format and its builder.
+ * Trace-to-bytecode compiler: the machine-free lowering, the per-machine
+ * binding, and the builder that produces the lowering.
  *
  * The cycle engine used to re-interpret the heavyweight trace IR on every
  * run: each issue() paid four virtual cost-model calls, an operand-vector
  * walk through an unordered_map-backed scratchpad, and a deque-based
- * prefetch window.  A Program lowers a trace *once* into a dense array of
- * fixed-size BcInst records with every cost-model term pre-computed and
- * every operand buffer pre-resolved to a dense scratchpad slot, so
- * execution (sim/bc_engine.h) is a tight dispatch loop over plain arrays
- * — the shape riposte's TraceInst bytecode and nullc's lowering context
- * use for the same reason.
+ * prefetch window.  Compilation now happens in two steps:
+ *
+ *   - lowering (lowerTrace / lowerTraceStream): the trace becomes a
+ *     LoweredProgram, a dense array of 16-byte BcInst records with every
+ *     operand buffer pre-resolved to a dense scratchpad slot, plus a
+ *     per-Program table of the distinct instruction *shapes* (op,
+ *     logDegree, batch, words, work, streamed bytes).  The lowering reads
+ *     the trace and the LoweringOptions only, never a machine, so every
+ *     machine whose options agree shares one (the runner's ProgramCache
+ *     does exactly that across a sweep).
+ *   - binding (bind): one MachinePerf evaluation per shape yields a cost
+ *     row; a bound Program is the shared lowering plus those rows and the
+ *     machine constants.  A few hundred shapes stand in for the
+ *     hundreds of thousands of instructions a lowering can hold.
+ *
+ * Execution (sim/bc_engine.h) is then a tight loop over plain arrays that
+ * reads cost[code[k].shape] — the shape riposte's TraceInst bytecode and
+ * nullc's lowering context use for the same reason.
  *
  * Bit-exactness contract (enforced by tests/test_bytecode.cpp): executing
  * a Program yields a RunStats bit-identical to feeding the same lowering
  * through the IR CycleEngine — cycles, energy inputs, per-op attribution,
- * stall causes and timeline slices.  Everything pre-computed here is a
- * pure function of (instruction, const machine config), evaluated with
- * the exact expressions the IR engine would use:
+ * stall causes and timeline slices.  Every cost row is a pure function of
+ * (shape, const machine config), evaluated with the exact expressions the
+ * IR engine would use:
  *   - busyLaneCycles  = computeCycles * laneFraction   (same product)
  *   - staticFetchBytes sums streamed operand bytes in operand order
  *     (floating-point accumulation order is observable)
  *   - staticMemCycles = staticFetchBytes / hbmBytesPerCycle
  *     (kept as a division; multiplying by a precomputed inverse is NOT
  *     bit-identical)
- *   - transient refs and zero-byte streamed refs are dropped at compile
+ *   - the pipeline fill is one machine constant (Program::fillCycles)
+ *   - transient refs and zero-byte streamed refs are dropped at lowering
  *     time only because they provably contribute nothing to engine state
  *     or statistics.
  *
@@ -44,6 +58,8 @@
 #include <cstddef>
 #include <functional>
 #include <iosfwd>
+#include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -94,46 +110,63 @@ struct BcBuf
 };
 
 /**
- * One bytecode instruction: every term the cycle model needs, resolved at
- * compile time.  64 bytes, so one record per cache line.
+ * One bytecode instruction of a lowering: which shape it has (its cost
+ * row once bound), its operand records and its fusion tag.  16 bytes,
+ * four records per cache line.
  */
 struct BcInst
 {
-    double computeCycles = 0.0;    ///< MachinePerf::computeCycles
-    double busyLaneCycles = 0.0;   ///< computeCycles * laneFraction
-    double nocCycles = 0.0;        ///< MachinePerf::nocCycles
-    double fillCycles = 0.0;       ///< MachinePerf::pipelineFillCycles
-    /// Stream kind: streamed operand bytes, summed in operand order.
-    double staticFetchBytes = 0.0;
-    /// Stream kind: staticFetchBytes / hbmBytesPerCycle.
-    double staticMemCycles = 0.0;
+    u32 shape = 0;     ///< LoweredProgram::shapes / Program::cost index
     u32 bufBegin = 0;  ///< first BcBuf (Mem kind)
     u16 bufCount = 0;  ///< BcBuf count (Mem kind)
     /// Fused-run head: number of consecutive Stream instructions
     /// (including this one) the executor runs as one Stream-kernel
     /// span; 1 everywhere else.
     u16 runLen = 1;
-    u8 op = 0;         ///< isa::HwOp
-    u8 resource = 0;   ///< isa::Resource
     BcKind kind = BcKind::Stream;
     FuseKind fuse = FuseKind::None;
 };
 
-static_assert(sizeof(BcInst) == 64, "BcInst must stay one cache line");
+static_assert(sizeof(BcInst) == 16, "BcInst must stay 16 bytes");
 
-/** Side-table row for disassembly (parallel to Program::code). */
-struct BcDebug
+/**
+ * A distinct instruction shape of one lowering: every field a
+ * MachinePerf reads, plus the streamed operand bytes of a Stream
+ * instruction (summed in operand order; 0 for Mem instructions, whose
+ * memory phase walks their BcBuf records at run time).  Instructions
+ * with equal shapes cost the same on every machine.
+ */
+struct BcShape
 {
+    u8 op = 0;             ///< isa::HwOp
     u32 logDegree = 0;
     u32 batch = 1;
     u64 words = 0;
     u64 work = 0;
+    double staticFetchBytes = 0.0;
+};
+
+/**
+ * The bound cost of one shape on one machine: what the executor reads
+ * per instruction.  `op` and `staticFetchBytes` repeat the shape's so a
+ * step touches one row.
+ */
+struct BcCost
+{
+    double computeCycles = 0.0;    ///< MachinePerf::computeCycles
+    double busyLaneCycles = 0.0;   ///< computeCycles * laneFraction
+    double nocCycles = 0.0;        ///< MachinePerf::nocCycles
+    double staticFetchBytes = 0.0; ///< BcShape::staticFetchBytes
+    /// staticFetchBytes / hbmBytesPerCycle.
+    double staticMemCycles = 0.0;
+    u8 op = 0;         ///< isa::HwOp
+    u8 resource = 0;   ///< isa::Resource
 };
 
 /**
  * A phase marker between instructions: fires before instruction `inst`
  * (== code.size() for end-of-stream markers).  `name` indexes
- * Program::phaseNames; kEnd closes the innermost open phase.
+ * LoweredProgram::phaseNames; kEnd closes the innermost open phase.
  */
 struct PhaseEvent
 {
@@ -159,40 +192,73 @@ struct BcLoop
 };
 
 /**
- * A memoizable phase region: instructions [begin, end) of Program::code
- * form one top-level phase whose boundaries never sit inside a fused run
- * or a folded loop (fusion and folding both break at phase markers).
- * Only regions of at least kMinSegmentInsts instructions are recorded,
+ * A memoizable phase region: instructions [begin, end) of the code form
+ * one top-level phase whose boundaries never sit inside a fused run or a
+ * folded loop (fusion and folding both break at phase markers).  Only
+ * regions of at least kMinSegmentInsts instructions are recorded,
  * bounding the per-segment snapshot overhead to a small fraction of the
  * execution they can save.  Sorted by begin; disjoint.
  *
- * Segments carry no content digest: hashing every recorded region on
- * every compile taxed runs that never arm a phase cache.  The engine
- * (and the disassembler) compute segmentContentHash() on demand instead,
- * so uncached runs pay nothing for the segment table.
+ * Segments carry no content digest: the digest depends on the bound
+ * machine, and hashing every region on every compile taxed runs that
+ * never arm a phase cache.  The engine (and the disassembler) compute
+ * segmentContentHash() on demand instead.
  */
 struct PhaseSegment
 {
     u64 begin = 0; ///< first instruction of the region
     u64 end = 0;   ///< one past the last instruction
-    i32 name = -1; ///< Program::phaseNames index of the region
+    i32 name = -1; ///< LoweredProgram::phaseNames index of the region
 };
 
 /** Smallest phase region worth memoizing (see PhaseSegment). */
 inline constexpr u64 kMinSegmentInsts = 512;
 
+/**
+ * A lowered trace: everything about a compiled Program that does not
+ * depend on the machine.  Immutable once built and shared through
+ * shared_ptr<const LoweredProgram> by every Program bound to it.
+ *
+ * A composed machine's lowering has empty `code` and one sub-lowering
+ * per chip in `parts` (null for a chip with no work), plus the PCIe link
+ * traffic the partition computed.
+ */
+struct LoweredProgram
+{
+    std::string workload;   ///< Trace::name
+    u64 traceHash = 0;      ///< trace::contentHash of the source trace
+    u32 spadSlots = 0;      ///< dense scratchpad slot count
+
+    std::vector<BcInst> code;
+    std::vector<BcShape> shapes; ///< indexed by BcInst::shape
+    std::vector<BcBuf> bufs;
+    std::vector<BcLoop> loops;   ///< folded repeats, sorted by end
+    std::vector<PhaseEvent> phaseEvents;
+    std::vector<std::string> phaseNames; ///< owned; outlives the trace
+    std::vector<PhaseSegment> segments;  ///< memoizable phase regions
+
+    // Composed-machine decomposition (see struct docs).
+    std::vector<std::shared_ptr<const LoweredProgram>> parts;
+    double pcieBytes = 0.0;
+    u64 pcieTransfers = 0;
+
+    // Fusion statistics (disassembly / bench reporting).
+    u64 fusedRuns = 0;
+    u64 fusedInsts = 0;
+};
+
 struct Program;
 
 /**
  * FNV-1a digest of everything that determines how code[begin, end)
- * executes on this Program's machine — the per-instruction cost terms,
- * operand records (slot/bytes/flags; buffer ids are diagnostics and
- * excluded), loop rows relative to the segment, and the machine
- * constants — so equal hashes mean replaying one region's exit state for
- * the other is exact *provided the engine entry states also match*; the
- * phase cache (sim/phase_cache.h) keys on both.  Computed lazily: the
- * engine hashes a Program's segments once per run, and only when a cache
- * is armed.
+ * executes on this Program's machine — the bound cost row of every
+ * instruction, the packed flag fields, operand records (slot/bytes/flags;
+ * buffer ids are diagnostics and excluded), loop rows relative to the
+ * segment, and the machine constants — so equal hashes mean replaying
+ * one region's exit state for the other is exact *provided the engine
+ * entry states also match*; the phase cache (sim/phase_cache.h) keys on
+ * both.  Computed lazily: the engine hashes a Program's segments once
+ * per run, and only when a cache is armed.
  */
 u64 segmentContentHash(const Program &p, u64 begin, u64 end);
 
@@ -225,6 +291,9 @@ struct LiveCounter
     static void bump() noexcept;
 };
 
+/** The shared empty lowering a default-constructed Program points at. */
+const std::shared_ptr<const LoweredProgram> &emptyLowering();
+
 } // namespace detail
 
 /** Live Program instances right now (parts count individually). */
@@ -235,43 +304,42 @@ u64 peakLivePrograms();
 void resetPeakLivePrograms();
 
 /**
- * A compiled trace: everything AcceleratorModel::execute() needs, with no
- * references back to the Trace or the MachinePerf it came from.  Programs
- * are immutable after compileTrace() and safe to share across threads —
- * the runner's ProgramCache hands one instance to every job with the same
- * (model, trace-content) key.
+ * A bound Program: a shared lowering plus one cost row per shape and the
+ * constants of the machine it was bound for — everything
+ * AcceleratorModel::execute() needs, with no references back to the
+ * Trace or the MachinePerf.  Programs are immutable after bind() and safe
+ * to share across threads.
  *
- * A composed machine compiles to a Program with empty `code` and one
+ * A composed machine binds to a Program with empty `code` and one
  * sub-Program per chip in `parts` (plus the PCIe link traffic the
  * partition computed); single-chip Programs have empty `parts`.
  */
 struct Program
 {
+    /// The machine-free half; never null (an empty lowering by default).
+    std::shared_ptr<const LoweredProgram> lowered = detail::emptyLowering();
+    /// lowered->code, for callers that only walk or size the code.
+    std::span<const BcInst> code;
+    /// One row per lowered->shapes entry, bound for `machine`.
+    std::vector<BcCost> cost;
+
     std::string workload;      ///< Trace::name (stamped into RunResult)
-    std::string machine;       ///< model name the cost terms were baked for
+    std::string machine;       ///< model name the costs were bound for
     u64 traceHash = 0;         ///< trace::contentHash of the source trace
+    /// MachinePerf::configDigest of the bound machine: execute() refuses
+    /// a Program bound for a differently configured machine even when
+    /// the two share a name.
+    u64 configDigest = 0;
 
     // Machine constants captured from the MachinePerf.
     double hbmBytesPerCycle = 1.0;
     double scratchpadBytes = 0.0;
-    u32 spadSlots = 0;         ///< dense scratchpad slot count
-
-    std::vector<BcInst> code;
-    std::vector<BcBuf> bufs;
-    std::vector<BcLoop> loops;   ///< folded repeats, sorted by end
-    std::vector<PhaseEvent> phaseEvents;
-    std::vector<std::string> phaseNames; ///< owned; outlives the trace
-    std::vector<BcDebug> debug;          ///< parallel to code
-    std::vector<PhaseSegment> segments;  ///< memoizable phase regions
+    double fillCycles = 0.0;   ///< MachinePerf::pipelineFillCycles
 
     // Composed-machine decomposition (see struct docs).
     std::vector<Program> parts;
     double pcieBytes = 0.0;
     u64 pcieTransfers = 0;
-
-    // Fusion statistics (disassembly / bench reporting).
-    u64 fusedRuns = 0;
-    u64 fusedInsts = 0;
 
     bool composed() const { return !parts.empty(); }
 
@@ -284,15 +352,24 @@ struct Program
     totalInsts() const
     {
         u64 n = code.size();
-        for (const BcLoop &lp : loops)
+        for (const BcLoop &lp : lowered->loops)
             n += static_cast<u64>(lp.bodyLen) * (lp.trips - 1);
         return n;
     }
 };
 
 /**
+ * Bind a single-chip lowering to a machine: one MachinePerf evaluation
+ * per shape, with the exact expressions the IR engine uses (see the
+ * file comment).  Throws whatever the MachinePerf throws for a shape the
+ * machine cannot run.
+ */
+Program bind(std::shared_ptr<const LoweredProgram> lowered,
+             const sim::MachinePerf &perf, const std::string &machineName);
+
+/**
  * One scratchpad-slot touch in a Program's def-use stream (see
- * slotAccesses()).  `inst` indexes Program::code; `write` mirrors the
+ * slotAccesses()).  `inst` indexes the code; `write` mirrors the
  * BcBuf flag (a write access *defines* the slot's contents, a read
  * access *uses* them).  `id` is the lowering's buffer id — value-flow
  * analyses must check compiler::syntheticCiphertextId(id) before
@@ -319,9 +396,9 @@ struct SlotAccess
 std::vector<SlotAccess> slotAccesses(const Program &p);
 
 /**
- * InstSink that builds a Program: the bytecode emitter plugs into the
- * same Lowering pipeline as the analysis::VerifyingSink, so `--lint`
- * verification and JIT lowering compose in one pass over the instruction
+ * InstSink that builds a LoweredProgram: the bytecode emitter plugs into
+ * the same Lowering pipeline as the analysis::VerifyingSink, so `--lint`
+ * verification and lowering compose in one pass over the instruction
  * stream (LoweringOptions::lint interposes the verifier in front of this
  * sink).  Single-use, like Lowering itself: issue everything, then call
  * finish() exactly once to run the fusion pass.
@@ -329,34 +406,35 @@ std::vector<SlotAccess> slotAccesses(const Program &p);
 class ProgramBuilder : public isa::InstSink
 {
   public:
-    /** Cost terms are baked from `perf`; both pointers must outlive the
-     *  builder.  The builder appends into `out` (normally fresh). */
-    ProgramBuilder(const sim::MachinePerf *perf, Program *out);
+    /** The builder appends into `out` (normally fresh), which must
+     *  outlive it. */
+    explicit ProgramBuilder(LoweredProgram *out);
 
     void issue(const isa::HwInst &inst) override;
     void beginPhase(const char *name) override;
     void endPhase() override;
 
-    /** Accept repeat folds: the body is compiled once and recorded as a
-     *  Program loop (all-Stream bodies only; a body that touches the
-     *  scratchpad is unrolled by re-issuing it trips-1 times, since its
-     *  memory behaviour depends on LRU state). */
+    /** Accept repeat folds: the body is lowered once and recorded as a
+     *  loop (all-Stream bodies only; a body that touches the scratchpad
+     *  is unrolled by re-issuing it trips-1 times, since its memory
+     *  behaviour depends on LRU state). */
     bool beginRepeat(u64 trips) override;
     void endRepeat() override;
 
-    /** Seal the Program: assign fused runs and the slot count. */
+    /** Seal the lowering: assign fused runs and the slot count. */
     void finish();
 
   private:
     u32 slotFor(u64 id);
+    u32 shapeFor(const BcShape &shape);
     void fuse();
 
-    const sim::MachinePerf *perf_;
-    Program *out_;
-    // Machine constants hoisted out of issue() (see ctor).
-    double fillCycles_ = 0.0;
-    double hbmBpc_ = 1.0;
+    LoweredProgram *out_;
     std::unordered_map<u64, u32> slots_;
+    /// Open-addressing shape index (power-of-two size, entries are
+    /// shape id + 1, 0 = empty): one probe per issue() in the common
+    /// case, over a table that stays in L1.
+    std::vector<u32> shapeIndex_;
     std::unordered_map<std::string, u32> phaseNameIdx_;
     // Open repeat offer (beginRepeat..endRepeat window).
     u64 repeatTrips_ = 0;
@@ -367,17 +445,16 @@ class ProgramBuilder : public isa::InstSink
 };
 
 /**
- * Compile a trace for one machine: lower it with `opts` straight into a
- * ProgramBuilder (verifier interposed when `lint` is non-null, exactly as
- * in a simulation run) and return the sealed Program.  Throws the same
- * typed errors a lowering inside run() would.
+ * Lower a trace with `opts` straight into a ProgramBuilder (verifier
+ * interposed when `lint` is non-null, exactly as in a simulation run)
+ * and return the sealed lowering.  Throws the same typed errors a
+ * lowering inside run() would.
  */
-Program compileTrace(const trace::Trace &tr, const LoweringOptions &opts,
-                     const sim::MachinePerf &perf,
-                     const std::string &machineName,
-                     analysis::DiagnosticReport *lint = nullptr);
+LoweredProgram lowerTrace(const trace::Trace &tr,
+                          const LoweringOptions &opts,
+                          analysis::DiagnosticReport *lint = nullptr);
 
-/** Per-op admission hook for compileTraceStream (models that support a
+/** Per-op admission hook for lowerTraceStream (models that support a
  *  single scheme reject foreign ops here, with the same typed errors
  *  their whole-trace path throws).  Called before the op is lowered;
  *  `header` carries the trace parameters and name for diagnostics. */
@@ -385,11 +462,11 @@ using StreamOpCheck = std::function<void(const trace::Trace &header,
                                          const trace::TraceOp &op)>;
 
 /**
- * Compile a trace straight from its text stream in bounded memory: a
+ * Lower a trace straight from its text stream in bounded memory: a
  * trace::TraceReader feeds each validated op/mark into the Lowering as
  * it parses, so the full op vector is never materialized — traces larger
- * than memory flow through.  The resulting Program is identical to
- * compileTrace(readTrace(is), ...) for any stream writeTrace() produces.
+ * than memory flow through.  The result is identical to
+ * lowerTrace(readTrace(is), ...) for any stream writeTrace() produces.
  *
  * Chunk-protocol restrictions beyond the whole-file format (both throw
  * TraceError; writeTrace's canonical layout — header, then all phase
@@ -402,13 +479,30 @@ using StreamOpCheck = std::function<void(const trace::Trace &header,
  * `peakBufferedBytes`, when non-null, receives the reader's buffer
  * high-water mark (one partial line) so callers can assert boundedness.
  */
-Program compileTraceStream(std::istream &is, const LoweringOptions &opts,
-                           const sim::MachinePerf &perf,
-                           const std::string &machineName,
-                           analysis::DiagnosticReport *lint = nullptr,
-                           const StreamOpCheck &opCheck = {},
-                           std::size_t chunkBytes = std::size_t(64) << 10,
-                           std::size_t *peakBufferedBytes = nullptr);
+LoweredProgram
+lowerTraceStream(std::istream &is, const LoweringOptions &opts,
+                 analysis::DiagnosticReport *lint = nullptr,
+                 const StreamOpCheck &opCheck = {},
+                 std::size_t chunkBytes = std::size_t(64) << 10,
+                 std::size_t *peakBufferedBytes = nullptr);
+
+/**
+ * Cache key of a lowering geometry: every LoweringOptions field except
+ * `lint` (verification observes the stream, it never changes it).  Two
+ * option sets with equal keys lower every trace identically.
+ */
+std::string loweringOptionsKey(const LoweringOptions &opts);
+
+/** Produces a lowering (see LoweringLookup). */
+using LowerFn = std::function<std::shared_ptr<const LoweredProgram>()>;
+
+/**
+ * Where a model takes the lowering of the trace it is compiling: returns
+ * a shared lowering for the (trace, lowering key) pair the caller bound
+ * in, running `lower` only when it has none (runner::ProgramCache).
+ */
+using LoweringLookup =
+    std::function<std::shared_ptr<const LoweredProgram>(const LowerFn &)>;
 
 /**
  * Check the fused-op legality invariants of a compiled Program and append

@@ -42,7 +42,6 @@ struct LoweringOptions
     int wordBits = 32;
 
     // Throughput geometry used for packing decisions.
-    int totalButterflies = 8192;
     int totalVectorLanes = 16384;
 
     // Paper optimizations.

@@ -17,10 +17,12 @@
 
 #include "runner/runner.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <exception>
+#include <map>
 #include <mutex>
 #include <thread>
 
@@ -84,7 +86,7 @@ struct ProgramCacheMetrics
         "Program-cache requests served from an installed entry");
     metrics::Counter &misses = metrics::counter(
         "ufc_program_cache_misses_total",
-        "Program-cache requests that triggered a compile");
+        "Program-cache requests that triggered a lowering");
     metrics::Counter &evictions = metrics::counter(
         "ufc_program_cache_evictions_total",
         "Program-cache entries dropped by the maxEntries bound");
@@ -118,39 +120,69 @@ cacheFlag(const RunnerConfig &cfg, const sim::RunResult &r)
 
 } // namespace
 
-std::shared_ptr<const compiler::Program>
-ProgramCache::get(const sim::AcceleratorModel &model,
-                  const trace::Trace &tr)
+compiler::Program
+ProgramCache::get(const sim::AcceleratorModel &model, const trace::Trace &tr)
 {
-    const Key key{&model, trace::contentHash(tr)};
+    std::string lowering = model.loweringKey();
+    if (lowering.empty())
+        return model.compile(tr);
+    const Key key{trace::contentHash(tr), std::move(lowering)};
+    return model.compileShared(tr, [&](const compiler::LowerFn &lower) {
+        return lookup(key, tr.name, lower);
+    });
+}
 
-    std::promise<std::shared_ptr<const compiler::Program>> promise;
-    Entry entry;
+void
+ProgramCache::expectUses(const std::string &loweringKey, u64 traceHash,
+                         u64 uses)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    announced_[Key{traceHash, loweringKey}] = uses;
+}
+
+std::shared_ptr<const compiler::LoweredProgram>
+ProgramCache::lookup(const Key &key, const std::string &workload,
+                     const compiler::LowerFn &lower)
+{
+    std::promise<std::shared_ptr<const compiler::LoweredProgram>> promise;
+    Lowering lowering;
     bool owner = false;
     u64 evicted = 0;
     std::size_t entryCount = 0;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        const auto it = entries_.find(key);
+        auto it = entries_.find(key);
         if (it != entries_.end()) {
             hits_.fetch_add(1, std::memory_order_relaxed);
-            entry = it->second;
         } else {
-            entry = promise.get_future().share();
-            entries_.emplace(key, entry);
+            Entry entry;
+            entry.lowering = promise.get_future().share();
+            const auto planned = announced_.find(key);
+            if (planned != announced_.end()) {
+                entry.usesLeft = planned->second;
+                announced_.erase(planned);
+            }
+            it = entries_.emplace(key, std::move(entry)).first;
             order_.push_back(key);
             owner = true;
-            // FIFO eviction: drop the oldest entry while over the bound.
-            // Evicting an in-flight compile is safe — waiters hold their
-            // own shared_future copies — and the key can be re-inserted
-            // (and re-compiled) later; compilation is deterministic, so
-            // only host time changes.
-            while (maxEntries_ > 0 && entries_.size() > maxEntries_) {
-                entries_.erase(order_.front());
-                order_.pop_front();
-                evictions_.fetch_add(1, std::memory_order_relaxed);
-                ++evicted;
-            }
+        }
+        lowering = it->second.lowering;
+        // The last announced request releases the entry: the lowering
+        // then lives exactly as long as the Programs bound to it.
+        if (it->second.usesLeft > 0 && --it->second.usesLeft == 0) {
+            entries_.erase(it);
+            order_.erase(std::find(order_.begin(), order_.end(), key));
+        }
+        // FIFO eviction: drop the oldest entry while over the bound.
+        // Evicting an in-flight lowering is safe — waiters hold their
+        // own shared_future copies — and the key can be re-inserted
+        // (and re-lowered) later; lowering is deterministic, so only
+        // host time changes.
+        while (maxEntries_ > 0 && entries_.size() > maxEntries_) {
+            entries_.erase(order_.front());
+            order_.pop_front();
+            evictions_.fetch_add(1, std::memory_order_relaxed);
+            ++evicted;
         }
         entryCount = entries_.size();
     }
@@ -164,26 +196,25 @@ ProgramCache::get(const sim::AcceleratorModel &model,
         metrics::flightRecorder().record(
             owner ? metrics::EventKind::CacheMiss
                   : metrics::EventKind::CacheHit,
-            "program_cache", "workload=" + tr.name);
+            "program_cache", "workload=" + workload);
         if (evicted > 0)
             metrics::flightRecorder().record(
                 metrics::EventKind::CacheEvict, "program_cache",
                 "evicted=" + std::to_string(evicted));
     }
 
-    // First requester compiles outside the lock (so unrelated keys are
-    // not serialized behind a slow compile) and publishes the Program —
-    // or the typed error — to everyone waiting on the shared future.
+    // First requester lowers outside the lock (so unrelated keys are not
+    // serialized behind a slow lowering) and publishes the result — or
+    // the typed error — to everyone waiting on the shared future.
     if (owner) {
-        compiles_.fetch_add(1, std::memory_order_relaxed);
+        lowerings_.fetch_add(1, std::memory_order_relaxed);
         try {
-            promise.set_value(std::make_shared<const compiler::Program>(
-                model.compile(tr)));
+            promise.set_value(lower());
         } catch (...) {
             promise.set_exception(std::current_exception());
         }
     }
-    return entry.get();
+    return lowering.get();
 }
 
 const char *
@@ -357,35 +388,31 @@ ExperimentRunner::runOne(const Job &job, std::size_t index,
                 (cache != nullptr || job.options.dataflowLint ||
                  job.options.boundsCheck);
             if (wantProgram) {
-                std::shared_ptr<const compiler::Program> program;
-                if (cache) {
-                    // Compile-once path: sibling jobs over the same
-                    // (model, trace) pair share the compiled Program.
-                    program = cache->get(*job.model, *tr);
-                } else {
-                    program = std::make_shared<const compiler::Program>(
-                        job.model->compile(*tr));
-                }
+                // Lower-once path: sibling jobs whose models lower the
+                // trace identically share one lowering.
+                const compiler::Program program =
+                    cache ? cache->get(*job.model, *tr)
+                          : job.model->compile(*tr);
                 if (job.options.dataflowLint) {
                     // Program-level rules on the cached bytecode (the
                     // trace-level dataflow passes already ran in the
                     // pre-flight above — no re-lowering).
                     analysis::DiagnosticReport rep;
-                    compiler::verifyProgram(*program, rep);
-                    analysis::runProgramDataflow(*program, rep);
+                    compiler::verifyProgram(program, rep);
+                    analysis::runProgramDataflow(program, rep);
                     if (const analysis::Diagnostic *first =
                             rep.firstError()) {
                         throw TraceError(
                             "dataflow lint failed for program '" +
-                            program->workload + "' (" +
+                            program.workload + "' (" +
                             std::to_string(rep.errorCount()) +
                             " error(s)): " + first->format());
                     }
                 }
                 analysis::CostBounds bounds;
                 if (job.options.boundsCheck)
-                    bounds = analysis::analyzeCostBounds(*program);
-                result = job.model->execute(*program, opts);
+                    bounds = analysis::analyzeCostBounds(program);
+                result = job.model->execute(program, opts);
                 if (job.options.boundsCheck) {
                     outcome.boundsChecked = true;
                     outcome.cyclesLower = bounds.cyclesLower;
@@ -500,27 +527,39 @@ ExperimentRunner::runAll(const std::vector<Job> &jobs) const
     if (metrics::enabled())
         (void)programCacheMetrics();
 
-    // A compiled Program is only worth retaining when a sibling job will
-    // reuse it.  The job list is known up front, so count the distinct
-    // (model, trace) pairs: singleton jobs take the run() shim instead,
-    // which frees their Program at job end — the allocator then recycles
-    // those already-faulted pages for the next job's compile instead of
-    // every job paying first-touch cost on fresh ones (and the batch
-    // peak RSS stays bounded by the genuinely shared programs).
-    const auto pairKey = [](const Job &job) {
-        u64 h = reinterpret_cast<std::uintptr_t>(job.model.get());
-        h ^= reinterpret_cast<std::uintptr_t>(job.trace.get()) +
-             0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-        return h;
-    };
-    std::unordered_map<u64, int> pairUses;
-    for (const Job &job : jobs)
-        if (job.model && job.trace)
-            ++pairUses[pairKey(job)];
+    // A lowering is only worth retaining when a sibling job will bind
+    // it.  The job list is known up front, so count the jobs per
+    // lowering key (the ProgramCache key): singleton jobs compile
+    // privately and free their Program at job end — the allocator then
+    // recycles those already-faulted pages for the next job's compile
+    // instead of every job paying first-touch cost on fresh ones — and
+    // a shared lowering is released after its last job, so the batch
+    // peak RSS stays bounded by the lowerings still in use.
+    using LoweringId = std::pair<std::string, u64>; // key, trace hash
+    std::vector<LoweringId> lowering(jobs.size());
+    std::unordered_map<const trace::Trace *, u64> traceHashes;
+    std::map<LoweringId, u64> jobsPerLowering;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const Job &job = jobs[i];
+        if (!job.model || !job.trace ||
+            job.options.execMode != sim::ExecMode::Bytecode)
+            continue;
+        lowering[i].first = job.model->loweringKey();
+        if (lowering[i].first.empty())
+            continue;
+        auto [it, fresh] = traceHashes.try_emplace(job.trace.get(), 0);
+        if (fresh)
+            it->second = trace::contentHash(*job.trace);
+        lowering[i].second = it->second;
+        ++jobsPerLowering[lowering[i]];
+    }
     std::vector<char> sharedProgram(jobs.size(), 0);
     for (std::size_t i = 0; i < jobs.size(); ++i)
-        sharedProgram[i] = jobs[i].model && jobs[i].trace &&
-                           pairUses[pairKey(jobs[i])] > 1;
+        sharedProgram[i] = !lowering[i].first.empty() &&
+                           jobsPerLowering[lowering[i]] > 1;
+    for (const auto &[id, n] : jobsPerLowering)
+        if (n > 1)
+            cache.expectUses(id.first, id.second, n);
 
     ThreadPool pool(effectiveThreads(jobs.size()));
     pool.parallelFor(jobs.size(), [&](std::size_t i) {

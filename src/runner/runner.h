@@ -41,48 +41,57 @@ namespace ufc {
 namespace runner {
 
 /**
- * Batch-scoped cache of compiled Programs keyed on (model instance,
- * trace content hash): a sweep that executes one trace under many
- * RunOptions pays the model's compile() exactly once per distinct
- * (model, trace) pair, even when the jobs land on different worker
- * threads concurrently.
+ * Batch-scoped cache of lowerings keyed on (trace content hash, model
+ * lowering key): every model whose AcceleratorModel::loweringKey()
+ * agrees — the fig13/fig14 DSE points, two instances of one config —
+ * shares one compiler::LoweredProgram per trace, and each get() binds
+ * it to the requesting model.  Lowering is the expensive half of
+ * compile(); binding costs one MachinePerf evaluation per shape.
  *
  * Concurrency: the first requester of a key installs a shared future
- * and compiles outside the map lock; later requesters block on that
- * future.  A compile error is cached too and rethrown to every
- * requester — compilation is deterministic, so retrying it cannot
- * succeed.
+ * and lowers outside the map lock; later requesters block on that
+ * future.  A lowering error is cached too and rethrown to every
+ * requester — lowering is deterministic, so retrying it cannot succeed.
+ * Binding and model admission (SHARP/Strix reject foreign traces) run
+ * per request.
  *
- * Lifetime: keys hold raw model pointers, so a cache must not outlive
- * the models it has seen.  The runner builds one per batch (the jobs'
- * shared_ptrs keep the models alive); standalone users with longer-
- * lived models may keep one for as long as those models exist.
+ * Models with an empty loweringKey() (models outside the library that
+ * do not split compile()) bypass the cache: get() returns compile(tr).
  */
 class ProgramCache
 {
   public:
     /** `maxEntries` bounds the cache (0 = unbounded, the default).
      *  When an insert exceeds the bound the oldest entry is evicted
-     *  (FIFO by insertion) — safe even while the evicted compile is
+     *  (FIFO by insertion) — safe even while the evicted lowering is
      *  still in flight, since every waiter holds its own copy of the
-     *  shared future and the Program is shared_ptr-owned. */
+     *  shared future and the lowering is shared_ptr-owned. */
     explicit ProgramCache(std::size_t maxEntries = 0)
         : maxEntries_(maxEntries)
     {}
 
-    /** The compiled Program for `tr` on `model`, compiling on first
-     *  use.  Thread-safe; throws whatever compile() threw. */
-    std::shared_ptr<const compiler::Program>
-    get(const sim::AcceleratorModel &model, const trace::Trace &tr);
+    /** `tr` compiled for `model`, lowering on first use of the key.
+     *  Thread-safe; throws whatever compile() would. */
+    compiler::Program get(const sim::AcceleratorModel &model,
+                          const trace::Trace &tr);
+
+    /**
+     * Announce that the key of (`loweringKey`, `traceHash`) will be
+     * requested exactly `uses` times: its entry is dropped at the last
+     * request, so a batch frees each shared lowering after its last job
+     * instead of at batch end.  Unannounced keys stay until evicted.
+     */
+    void expectUses(const std::string &loweringKey, u64 traceHash,
+                    u64 uses);
 
     /** Requests served from an already-installed entry. */
     u64 hits() const { return hits_.load(std::memory_order_relaxed); }
-    /** compile() calls actually performed (== distinct keys seen,
-     *  counting re-compiles of evicted keys). */
+    /** Lowerings actually performed (== distinct keys requested,
+     *  counting re-lowerings of evicted or released keys). */
     u64
-    compiles() const
+    lowerings() const
     {
-        return compiles_.load(std::memory_order_relaxed);
+        return lowerings_.load(std::memory_order_relaxed);
     }
     /** Entries dropped by the maxEntries bound. */
     u64
@@ -94,13 +103,13 @@ class ProgramCache
   private:
     struct Key
     {
-        const sim::AcceleratorModel *model;
         u64 traceHash;
+        std::string lowering;
 
         bool
         operator==(const Key &o) const
         {
-            return model == o.model && traceHash == o.traceHash;
+            return traceHash == o.traceHash && lowering == o.lowering;
         }
     };
     struct KeyHash
@@ -108,23 +117,32 @@ class ProgramCache
         std::size_t
         operator()(const Key &k) const
         {
-            // Splitmix-style combine of the two 64-bit halves.
-            u64 h = reinterpret_cast<std::uintptr_t>(k.model);
-            h ^= k.traceHash + 0x9e3779b97f4a7c15ULL + (h << 6) +
-                 (h >> 2);
-            return static_cast<std::size_t>(h);
+            return static_cast<std::size_t>(
+                k.traceHash ^ std::hash<std::string>{}(k.lowering));
         }
     };
 
-    using Entry =
-        std::shared_future<std::shared_ptr<const compiler::Program>>;
+    using Lowering = std::shared_future<
+        std::shared_ptr<const compiler::LoweredProgram>>;
+    struct Entry
+    {
+        Lowering lowering;
+        u64 usesLeft = 0; ///< 0 = unannounced (kept until evicted)
+    };
+
+    /** The lowering for `key`, running `lower` on a miss. */
+    std::shared_ptr<const compiler::LoweredProgram>
+    lookup(const Key &key, const std::string &workload,
+           const compiler::LowerFn &lower);
 
     const std::size_t maxEntries_;
     std::mutex mu_;
     std::unordered_map<Key, Entry, KeyHash> entries_;
+    /// Announced use counts of keys not requested yet.
+    std::unordered_map<Key, u64, KeyHash> announced_;
     std::deque<Key> order_; ///< insertion order, for FIFO eviction
     std::atomic<u64> hits_{0};
-    std::atomic<u64> compiles_{0};
+    std::atomic<u64> lowerings_{0};
     std::atomic<u64> evictions_{0};
 };
 
@@ -195,8 +213,8 @@ struct RunnerConfig
     /// counters off the cache after the batch.  IR-mode jobs ignore it.
     sim::PhaseCache *phaseCache = nullptr;
     /// Bound on the batch-scoped ProgramCache (0 = unbounded).  Bounded
-    /// caches evict FIFO; an evicted (model, trace) pair re-compiles on
-    /// its next use.  Results are identical either way — compilation is
+    /// caches evict FIFO; an evicted lowering is lowered again on its
+    /// next use.  Results are identical either way — lowering is
     /// deterministic — only host time and peak memory change.
     std::size_t programCacheMaxEntries = 0;
 };
@@ -309,8 +327,8 @@ class ExperimentRunner
      * deadline mapping, flight-recorder post-mortem on failure).  This
      * is the unit of work a long-lived service schedules: the ufc_serve
      * daemon calls it per accepted request from its own worker threads,
-     * passing its persistent ProgramCache so compiled programs stay
-     * warm across requests.  `cache` may be null (no program sharing).
+     * passing its persistent ProgramCache so lowerings stay warm
+     * across requests.  `cache` may be null (no lowering sharing).
      * Never throws for job-level failures.
      */
     void runJob(const Job &job, std::size_t index,

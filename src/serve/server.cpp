@@ -843,7 +843,7 @@ Server::handleHealth()
     caches.set("program_hits", JsonValue::makeInt(static_cast<i64>(
                                    programCache_.hits())));
     caches.set("program_compiles", JsonValue::makeInt(static_cast<i64>(
-                                       programCache_.compiles())));
+                                       programCache_.lowerings())));
     caches.set("program_evictions", JsonValue::makeInt(static_cast<i64>(
                                         programCache_.evictions())));
     caches.set("phase_hits", JsonValue::makeInt(static_cast<i64>(

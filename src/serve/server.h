@@ -203,8 +203,7 @@ class Server
 
     ServeConfig cfg_;
 
-    // Immutable after construction: the machine registry the
-    // ProgramCache keys point into.
+    // Immutable after construction: the machine registry.
     std::unordered_map<std::string,
                        std::shared_ptr<const sim::AcceleratorModel>>
         models_;

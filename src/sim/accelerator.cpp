@@ -66,7 +66,8 @@ struct ExecCacheCounts
 
 RunStats
 executeProgram(const compiler::Program &program,
-               const std::string &machine, const RunOptions &runOpts,
+               const std::string &machine, u64 configDigest,
+               const RunOptions &runOpts,
                ExecCacheCounts *cacheCounts = nullptr)
 {
     validateRunOptions(runOpts);
@@ -78,6 +79,13 @@ executeProgram(const compiler::Program &program,
                "Program '" << program.workload << "' compiled for '"
                    << program.machine << "' executed on '" << machine
                    << "'");
+    // Every UfcConfig is named "UFC": the name alone cannot tell a DSE
+    // point's Program from the Table II machine's.
+    UFC_EXPECT(program.configDigest == configDigest, ConfigError,
+               "Program '" << program.workload << "' bound for a '"
+                   << machine << "' configured differently (config "
+                   << std::hex << program.configDigest << " vs "
+                   << configDigest << std::dec << ")");
     const int window = runOpts.prefetchWindow >= 0
                            ? runOpts.prefetchWindow
                            : CycleEngine::kDefaultPrefetchWindow;
@@ -95,6 +103,13 @@ executeProgram(const compiler::Program &program,
         cacheCounts->misses = engine.runCacheMisses();
     }
     return stats;
+}
+
+/** Share a freshly made lowering. */
+std::shared_ptr<const compiler::LoweredProgram>
+share(compiler::LoweredProgram &&lp)
+{
+    return std::make_shared<const compiler::LoweredProgram>(std::move(lp));
 }
 
 /** Fill the non-stats fields common to every model's result. */
@@ -151,6 +166,90 @@ AcceleratorModel::compileStream(std::istream &is,
     return compile(trace::readTrace(is));
 }
 
+void
+ChipModel::admit(const trace::Trace &header, const trace::TraceOp &op) const
+{
+    (void)header;
+    (void)op;
+}
+
+void
+ChipModel::admitAll(const trace::Trace &tr) const
+{
+    for (const auto &op : tr.ops)
+        admit(tr, op);
+}
+
+std::string
+ChipModel::loweringKey() const
+{
+    return std::string(kind()) + "/" +
+           compiler::loweringOptionsKey(loweringOptions());
+}
+
+std::shared_ptr<const compiler::LoweredProgram>
+ChipModel::lower(const trace::Trace &tr) const
+{
+    return share(compiler::lowerTrace(tr, loweringOptions()));
+}
+
+compiler::Program
+ChipModel::bind(std::shared_ptr<const compiler::LoweredProgram> lowered) const
+{
+    return compiler::bind(std::move(lowered), *perf(), name());
+}
+
+compiler::Program
+ChipModel::compile(const trace::Trace &tr) const
+{
+    admitAll(tr);
+    return bind(lower(tr));
+}
+
+compiler::Program
+ChipModel::compileShared(const trace::Trace &tr,
+                         const compiler::LoweringLookup &lookup) const
+{
+    // Admission first: a lowering another model shared must not let a
+    // foreign trace through.
+    admitAll(tr);
+    return bind(lookup([&] { return lower(tr); }));
+}
+
+compiler::Program
+ChipModel::compileStream(std::istream &is, std::size_t chunkBytes) const
+{
+    // Per-op admission in place of admitAll(): same typed error and
+    // message, raised as soon as the foreign op streams in.
+    const compiler::StreamOpCheck check =
+        [this](const trace::Trace &header, const trace::TraceOp &op) {
+            admit(header, op);
+        };
+    return bind(share(compiler::lowerTraceStream(
+        is, loweringOptions(), nullptr, check, chunkBytes)));
+}
+
+RunResult
+ChipModel::execute(const compiler::Program &program,
+                   const RunOptions &opts) const
+{
+    ExecCacheCounts cc;
+    RunResult r = attach(
+        executeProgram(program, name(), perf()->configDigest(), opts, &cc),
+        opts, program.workload);
+    r.phaseCacheHits = cc.hits;
+    r.phaseCacheMisses = cc.misses;
+    return r;
+}
+
+RunResult
+ChipModel::runTraceIr(const trace::Trace &tr, const RunOptions &opts) const
+{
+    admitAll(tr);
+    return attach(lowerAndRun(tr, loweringOptions(), *perf(), opts), opts,
+                  tr.name);
+}
+
 UfcModel::UfcModel(const UfcConfig &cfg, compiler::Parallelism par)
     : cfg_(cfg), parallelism_(par)
 {}
@@ -160,7 +259,6 @@ UfcModel::loweringOptions() const
 {
     compiler::LoweringOptions opts;
     opts.wordBits = cfg_.wordBits;
-    opts.totalButterflies = cfg_.totalButterflies();
     opts.totalVectorLanes = cfg_.totalLanes();
     opts.autoViaNtt = true;
     opts.rotateAsMonomialMul = true;
@@ -193,55 +291,25 @@ UfcModel::attach(const RunStats &stats, const RunOptions &opts,
     return r;
 }
 
-compiler::Program
-UfcModel::compile(const trace::Trace &tr) const
+std::unique_ptr<MachinePerf>
+UfcModel::perf() const
 {
-    UfcPerf perf(cfg_);
-    return compiler::compileTrace(tr, loweringOptions(), perf, name());
-}
-
-compiler::Program
-UfcModel::compileStream(std::istream &is, std::size_t chunkBytes) const
-{
-    UfcPerf perf(cfg_);
-    return compiler::compileTraceStream(is, loweringOptions(), perf,
-                                        name(), nullptr, {}, chunkBytes);
-}
-
-RunResult
-UfcModel::execute(const compiler::Program &program,
-                  const RunOptions &opts) const
-{
-    ExecCacheCounts cc;
-    RunResult r = attach(executeProgram(program, name(), opts, &cc), opts,
-                         program.workload);
-    r.phaseCacheHits = cc.hits;
-    r.phaseCacheMisses = cc.misses;
-    return r;
-}
-
-RunResult
-UfcModel::runTraceIr(const trace::Trace &tr, const RunOptions &opts) const
-{
-    UfcPerf perf(cfg_);
-    return attach(lowerAndRun(tr, loweringOptions(), perf, opts), opts,
-                  tr.name);
+    return std::make_unique<UfcPerf>(cfg_);
 }
 
 SharpModel::SharpModel(const baselines::SharpConfig &cfg) : cfg_(cfg) {}
 
 void
-SharpModel::rejectUnsupported(const trace::Trace &tr) const
+SharpModel::admit(const trace::Trace &header,
+                  const trace::TraceOp &op) const
 {
-    for (const auto &op : tr.ops) {
-        // Ring-side scheme-switching ops (extract/repack) are CKKS-style
-        // polynomial work; only logic-scheme ops are unsupported.  A
-        // trace/machine mismatch is a job-configuration fault, not an
-        // internal bug — recoverable, so a sweep survives it.
-        UFC_EXPECT(op.scheme() != trace::Scheme::Tfhe, ConfigError,
-                   "SHARP only supports SIMD-scheme (CKKS) operations; "
-                   "trace '" << tr.name << "' contains TFHE ops");
-    }
+    // Ring-side scheme-switching ops (extract/repack) are CKKS-style
+    // polynomial work; only logic-scheme ops are unsupported.  A
+    // trace/machine mismatch is a job-configuration fault, not an
+    // internal bug — recoverable, so a sweep survives it.
+    UFC_EXPECT(op.scheme() != trace::Scheme::Tfhe, ConfigError,
+               "SHARP only supports SIMD-scheme (CKKS) operations; "
+               "trace '" << header.name << "' contains TFHE ops");
 }
 
 compiler::LoweringOptions
@@ -249,7 +317,6 @@ SharpModel::loweringOptions() const
 {
     compiler::LoweringOptions lopts;
     lopts.wordBits = cfg_.wordBits;
-    lopts.totalButterflies = 1024; // pipelined NTTU width
     lopts.totalVectorLanes = 2048;
     lopts.autoViaNtt = false;       // all-to-all NoC automorphism
     lopts.rotateAsMonomialMul = false;
@@ -268,63 +335,21 @@ SharpModel::attach(const RunStats &stats, const RunOptions &opts,
                           workload);
 }
 
-compiler::Program
-SharpModel::compile(const trace::Trace &tr) const
+std::unique_ptr<MachinePerf>
+SharpModel::perf() const
 {
-    rejectUnsupported(tr);
-    baselines::SharpPerf perf(cfg_);
-    return compiler::compileTrace(tr, loweringOptions(), perf, name());
-}
-
-compiler::Program
-SharpModel::compileStream(std::istream &is, std::size_t chunkBytes) const
-{
-    baselines::SharpPerf perf(cfg_);
-    // Per-op admission check in place of rejectUnsupported(): same typed
-    // error and message, raised as soon as the foreign op streams in.
-    const compiler::StreamOpCheck check = [](const trace::Trace &header,
-                                             const trace::TraceOp &op) {
-        UFC_EXPECT(op.scheme() != trace::Scheme::Tfhe, ConfigError,
-                   "SHARP only supports SIMD-scheme (CKKS) operations; "
-                   "trace '" << header.name << "' contains TFHE ops");
-    };
-    return compiler::compileTraceStream(is, loweringOptions(), perf,
-                                        name(), nullptr, check,
-                                        chunkBytes);
-}
-
-RunResult
-SharpModel::execute(const compiler::Program &program,
-                    const RunOptions &opts) const
-{
-    ExecCacheCounts cc;
-    RunResult r = attach(executeProgram(program, name(), opts, &cc), opts,
-                         program.workload);
-    r.phaseCacheHits = cc.hits;
-    r.phaseCacheMisses = cc.misses;
-    return r;
-}
-
-RunResult
-SharpModel::runTraceIr(const trace::Trace &tr,
-                       const RunOptions &opts) const
-{
-    rejectUnsupported(tr);
-    baselines::SharpPerf perf(cfg_);
-    return attach(lowerAndRun(tr, loweringOptions(), perf, opts), opts,
-                  tr.name);
+    return std::make_unique<baselines::SharpPerf>(cfg_);
 }
 
 StrixModel::StrixModel(const baselines::StrixConfig &cfg) : cfg_(cfg) {}
 
 void
-StrixModel::rejectUnsupported(const trace::Trace &tr) const
+StrixModel::admit(const trace::Trace &header,
+                  const trace::TraceOp &op) const
 {
-    for (const auto &op : tr.ops) {
-        UFC_EXPECT(op.scheme() == trace::Scheme::Tfhe, ConfigError,
-                   "Strix only supports logic-scheme (TFHE) operations; "
-                   "trace '" << tr.name << "' contains non-TFHE ops");
-    }
+    UFC_EXPECT(op.scheme() == trace::Scheme::Tfhe, ConfigError,
+               "Strix only supports logic-scheme (TFHE) operations; "
+               "trace '" << header.name << "' contains non-TFHE ops");
 }
 
 compiler::LoweringOptions
@@ -332,7 +357,6 @@ StrixModel::loweringOptions() const
 {
     compiler::LoweringOptions lopts;
     lopts.wordBits = cfg_.wordBits;
-    lopts.totalButterflies = cfg_.butterflies;
     lopts.totalVectorLanes = static_cast<int>(cfg_.macWordsPerCycle);
     lopts.autoViaNtt = false;
     lopts.rotateAsMonomialMul = false;
@@ -354,49 +378,10 @@ StrixModel::attach(const RunStats &stats, const RunOptions &opts,
                           workload);
 }
 
-compiler::Program
-StrixModel::compile(const trace::Trace &tr) const
+std::unique_ptr<MachinePerf>
+StrixModel::perf() const
 {
-    rejectUnsupported(tr);
-    baselines::StrixPerf perf(cfg_);
-    return compiler::compileTrace(tr, loweringOptions(), perf, name());
-}
-
-compiler::Program
-StrixModel::compileStream(std::istream &is, std::size_t chunkBytes) const
-{
-    baselines::StrixPerf perf(cfg_);
-    const compiler::StreamOpCheck check = [](const trace::Trace &header,
-                                             const trace::TraceOp &op) {
-        UFC_EXPECT(op.scheme() == trace::Scheme::Tfhe, ConfigError,
-                   "Strix only supports logic-scheme (TFHE) operations; "
-                   "trace '" << header.name << "' contains non-TFHE ops");
-    };
-    return compiler::compileTraceStream(is, loweringOptions(), perf,
-                                        name(), nullptr, check,
-                                        chunkBytes);
-}
-
-RunResult
-StrixModel::execute(const compiler::Program &program,
-                    const RunOptions &opts) const
-{
-    ExecCacheCounts cc;
-    RunResult r = attach(executeProgram(program, name(), opts, &cc), opts,
-                         program.workload);
-    r.phaseCacheHits = cc.hits;
-    r.phaseCacheMisses = cc.misses;
-    return r;
-}
-
-RunResult
-StrixModel::runTraceIr(const trace::Trace &tr,
-                       const RunOptions &opts) const
-{
-    rejectUnsupported(tr);
-    baselines::StrixPerf perf(cfg_);
-    return attach(lowerAndRun(tr, loweringOptions(), perf, opts), opts,
-                  tr.name);
+    return std::make_unique<baselines::StrixPerf>(cfg_);
 }
 
 ComposedModel::ComposedModel(const baselines::SharpConfig &sharp,
@@ -485,25 +470,65 @@ ComposedModel::combine(const RunResult &sharpRes,
     return r;
 }
 
-compiler::Program
-ComposedModel::compile(const trace::Trace &tr) const
+std::string
+ComposedModel::loweringKey() const
+{
+    // The partition depends on the trace alone; the PCIe terms only
+    // enter execute().
+    return "SHARP+Strix/" + SharpModel(sharp_).loweringKey() + "/" +
+           StrixModel(strix_).loweringKey();
+}
+
+std::shared_ptr<const compiler::LoweredProgram>
+ComposedModel::lower(const trace::Trace &tr) const
 {
     trace::Trace ckksPart;
     trace::Trace tfhePart;
-    compiler::Program p;
-    p.workload = tr.name;
-    p.machine = name();
-    p.traceHash = trace::contentHash(tr);
-    partition(tr, ckksPart, tfhePart, p.pcieBytes, p.pcieTransfers);
-    // parts[0] = SHARP, parts[1] = Strix; an untouched (default) part
-    // marks a chip with no work, mirroring the IR path's skipped
-    // sub-run.
-    p.parts.resize(2);
+    compiler::LoweredProgram lp;
+    lp.workload = tr.name;
+    lp.traceHash = trace::contentHash(tr);
+    partition(tr, ckksPart, tfhePart, lp.pcieBytes, lp.pcieTransfers);
+    // parts[0] = SHARP, parts[1] = Strix; a null part marks a chip with
+    // no work, mirroring the IR path's skipped sub-run.
+    lp.parts.resize(2);
     if (!ckksPart.ops.empty())
-        p.parts[0] = SharpModel(sharp_).compile(ckksPart);
+        lp.parts[0] = SharpModel(sharp_).lower(ckksPart);
     if (!tfhePart.ops.empty())
-        p.parts[1] = StrixModel(strix_).compile(tfhePart);
+        lp.parts[1] = StrixModel(strix_).lower(tfhePart);
+    return share(std::move(lp));
+}
+
+compiler::Program
+ComposedModel::bind(
+    std::shared_ptr<const compiler::LoweredProgram> lowered) const
+{
+    compiler::Program p;
+    p.workload = lowered->workload;
+    p.machine = name();
+    p.traceHash = lowered->traceHash;
+    p.pcieBytes = lowered->pcieBytes;
+    p.pcieTransfers = lowered->pcieTransfers;
+    // A default (machine-less) part marks a chip with no work.
+    p.parts.resize(2);
+    if (lowered->parts.size() == 2 && lowered->parts[0])
+        p.parts[0] = SharpModel(sharp_).bind(lowered->parts[0]);
+    if (lowered->parts.size() == 2 && lowered->parts[1])
+        p.parts[1] = StrixModel(strix_).bind(lowered->parts[1]);
+    p.lowered = std::move(lowered);
     return p;
+}
+
+compiler::Program
+ComposedModel::compile(const trace::Trace &tr) const
+{
+    return bind(lower(tr));
+}
+
+compiler::Program
+ComposedModel::compileShared(const trace::Trace &tr,
+                             const compiler::LoweringLookup &lookup) const
+{
+    return bind(lookup([&] { return lower(tr); }));
 }
 
 RunResult

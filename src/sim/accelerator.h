@@ -14,7 +14,11 @@
  *
  * so callers that run one trace under many options (DSE sweeps, the
  * batch runner via its ProgramCache, watchdog bisection) pay the
- * lowering cost once.  `run(trace, opts)` remains as a convenience shim
+ * lowering cost once.  compile() itself is two steps: a machine-free
+ * lowering (compiler::LoweredProgram) and a cheap per-machine bind.
+ * Models whose lowering options agree (loweringKey()) lower a trace
+ * identically, so the runner lowers each (trace, key) pair once and
+ * binds it per model (compileShared()).  `run(trace, opts)` remains as a convenience shim
  * over compile+execute — kept deprecated-but-tested for the figure
  * benches and external callers; new code should prefer the split API.
  * With RunOptions::execMode == ExecMode::TraceIr, run() instead takes
@@ -64,9 +68,31 @@ class AcceleratorModel
     virtual compiler::Program compile(const trace::Trace &tr) const = 0;
 
     /**
+     * Identity of this model's lowering: the model kind plus every
+     * LoweringOptions field but `lint`.  Models with equal keys lower
+     * every trace to the same LoweredProgram.  Empty (the default): the
+     * model's lowerings are private, and callers use compile().
+     */
+    virtual std::string loweringKey() const { return {}; }
+
+    /**
+     * compile(tr), with the lowering taken from `lookup` (see
+     * compiler::LoweringLookup) instead of made privately; the result
+     * is identical to compile(tr).  The default ignores `lookup` and
+     * returns compile(tr).
+     */
+    virtual compiler::Program
+    compileShared(const trace::Trace &tr,
+                  const compiler::LoweringLookup &lookup) const
+    {
+        (void)lookup;
+        return compile(tr);
+    }
+
+    /**
      * Streaming variant of compile(): parse, validate and lower the
      * trace text chunk-by-chunk from `is` (see
-     * compiler::compileTraceStream for the chunk-protocol contract).
+     * compiler::lowerTraceStream for the chunk-protocol contract).
      * Single-chip models override this to never materialize the op
      * vector, so traces larger than host memory compile in bounded
      * space; the base implementation falls back to
@@ -81,7 +107,8 @@ class AcceleratorModel
     /**
      * Execute a Program previously produced by this model's compile()
      * under the given per-run options.  Throws ConfigError when the
-     * Program was compiled for a different machine.
+     * Program was bound for a different machine — another model, or the
+     * same model name with a different configuration.
      */
     virtual RunResult execute(const compiler::Program &program,
                               const RunOptions &opts) const = 0;
@@ -118,106 +145,135 @@ class AcceleratorModel
                                  const RunOptions &opts) const = 0;
 };
 
+/**
+ * A single-chip model.  compile() is bind(lower(tr)): lower() runs the
+ * lowering with loweringOptions(), bind() evaluates the chip's
+ * MachinePerf once per shape.  execute() runs the bytecode engine and
+ * attaches the chip's physical units.  Subclasses supply the machine.
+ */
+class ChipModel : public AcceleratorModel
+{
+  public:
+    compiler::Program compile(const trace::Trace &tr) const override;
+    std::string loweringKey() const override;
+    compiler::Program
+    compileShared(const trace::Trace &tr,
+                  const compiler::LoweringLookup &lookup) const override;
+    compiler::Program compileStream(
+        std::istream &is,
+        std::size_t chunkBytes = trace::kTraceReadChunk) const override;
+    using AcceleratorModel::execute;
+    RunResult execute(const compiler::Program &program,
+                      const RunOptions &opts) const override;
+
+    /** The machine-free half of compile(). */
+    std::shared_ptr<const compiler::LoweredProgram>
+    lower(const trace::Trace &tr) const;
+    /** The per-machine half: bind a lowering made under this model's
+     *  loweringKey(). */
+    compiler::Program
+    bind(std::shared_ptr<const compiler::LoweredProgram> lowered) const;
+
+    /** The chip's lowering knobs. */
+    virtual compiler::LoweringOptions loweringOptions() const = 0;
+
+  protected:
+    /** The chip's performance model. */
+    virtual std::unique_ptr<MachinePerf> perf() const = 0;
+    RunResult runTraceIr(const trace::Trace &tr,
+                         const RunOptions &opts) const override;
+    /** Model kind: the first component of loweringKey(). */
+    virtual const char *kind() const = 0;
+    /** Refuse (ConfigError) an op the chip cannot run; `header` names
+     *  the trace.  The default accepts every op. */
+    virtual void admit(const trace::Trace &header,
+                       const trace::TraceOp &op) const;
+    /** Physical units (seconds, joules, mm^2) of a finished run. */
+    virtual RunResult attach(const RunStats &stats, const RunOptions &opts,
+                             const std::string &workload) const = 0;
+
+  private:
+    void admitAll(const trace::Trace &tr) const;
+};
+
 /** The proposed unified accelerator. */
-class UfcModel : public AcceleratorModel
+class UfcModel : public ChipModel
 {
   public:
     explicit UfcModel(const UfcConfig &cfg = UfcConfig::tableII(),
                       compiler::Parallelism par =
                           compiler::Parallelism::TvLP);
 
-    compiler::Program compile(const trace::Trace &tr) const override;
-    compiler::Program compileStream(
-        std::istream &is,
-        std::size_t chunkBytes = trace::kTraceReadChunk) const override;
-    using AcceleratorModel::execute;
-    RunResult execute(const compiler::Program &program,
-                      const RunOptions &opts) const override;
     std::string name() const override { return cfg_.name; }
     double areaMm2() const override;
 
     const UfcConfig &config() const { return cfg_; }
-    compiler::LoweringOptions loweringOptions() const;
+    compiler::LoweringOptions loweringOptions() const override;
 
   protected:
-    RunResult runTraceIr(const trace::Trace &tr,
-                         const RunOptions &opts) const override;
+    std::unique_ptr<MachinePerf> perf() const override;
+    const char *kind() const override { return "UFC"; }
+    RunResult attach(const RunStats &stats, const RunOptions &opts,
+                     const std::string &workload) const override;
 
   private:
-    RunResult attach(const RunStats &stats, const RunOptions &opts,
-                     const std::string &workload) const;
-
     UfcConfig cfg_;
     compiler::Parallelism parallelism_;
 };
 
 /** SHARP baseline (CKKS-only). */
-class SharpModel : public AcceleratorModel
+class SharpModel : public ChipModel
 {
   public:
     explicit SharpModel(
         const baselines::SharpConfig &cfg = baselines::SharpConfig{});
 
-    compiler::Program compile(const trace::Trace &tr) const override;
-    compiler::Program compileStream(
-        std::istream &is,
-        std::size_t chunkBytes = trace::kTraceReadChunk) const override;
-    using AcceleratorModel::execute;
-    RunResult execute(const compiler::Program &program,
-                      const RunOptions &opts) const override;
     std::string name() const override { return "SHARP"; }
     double areaMm2() const override { return cfg_.areaMm2; }
+    compiler::LoweringOptions loweringOptions() const override;
 
   protected:
-    RunResult runTraceIr(const trace::Trace &tr,
-                         const RunOptions &opts) const override;
+    std::unique_ptr<MachinePerf> perf() const override;
+    const char *kind() const override { return "SHARP"; }
+    void admit(const trace::Trace &header,
+               const trace::TraceOp &op) const override;
+    RunResult attach(const RunStats &stats, const RunOptions &opts,
+                     const std::string &workload) const override;
 
   private:
-    void rejectUnsupported(const trace::Trace &tr) const;
-    compiler::LoweringOptions loweringOptions() const;
-    RunResult attach(const RunStats &stats, const RunOptions &opts,
-                     const std::string &workload) const;
-
     baselines::SharpConfig cfg_;
 };
 
 /** Strix baseline (TFHE-only). */
-class StrixModel : public AcceleratorModel
+class StrixModel : public ChipModel
 {
   public:
     explicit StrixModel(
         const baselines::StrixConfig &cfg = baselines::StrixConfig{});
 
-    compiler::Program compile(const trace::Trace &tr) const override;
-    compiler::Program compileStream(
-        std::istream &is,
-        std::size_t chunkBytes = trace::kTraceReadChunk) const override;
-    using AcceleratorModel::execute;
-    RunResult execute(const compiler::Program &program,
-                      const RunOptions &opts) const override;
     std::string name() const override { return "Strix"; }
     double areaMm2() const override { return cfg_.areaMm2; }
+    compiler::LoweringOptions loweringOptions() const override;
 
   protected:
-    RunResult runTraceIr(const trace::Trace &tr,
-                         const RunOptions &opts) const override;
+    std::unique_ptr<MachinePerf> perf() const override;
+    const char *kind() const override { return "Strix"; }
+    void admit(const trace::Trace &header,
+               const trace::TraceOp &op) const override;
+    RunResult attach(const RunStats &stats, const RunOptions &opts,
+                     const std::string &workload) const override;
 
   private:
-    void rejectUnsupported(const trace::Trace &tr) const;
-    compiler::LoweringOptions loweringOptions() const;
-    RunResult attach(const RunStats &stats, const RunOptions &opts,
-                     const std::string &workload) const;
-
     baselines::StrixConfig cfg_;
 };
 
 /**
  * The composed SHARP + Strix system used as the hybrid-workload baseline
  * (Section VI-D): CKKS ops dispatch to SHARP, TFHE ops to Strix, and
- * scheme-switching data crosses a PCIe 5.0 x16 link.  compile()
- * partitions the trace and compiles one sub-Program per chip
- * (Program::parts); execute() runs the parts on the sub-models and
- * combines time/energy with the PCIe link terms.
+ * scheme-switching data crosses a PCIe 5.0 x16 link.  lower()
+ * partitions the trace and lowers each chip's share, bind() binds each
+ * share to its chip (Program::parts); execute() runs the parts on the
+ * sub-models and combines time/energy with the PCIe link terms.
  */
 class ComposedModel : public AcceleratorModel
 {
@@ -229,6 +285,16 @@ class ComposedModel : public AcceleratorModel
                   double pcieGBs = 63.0, double pcieLatencyUs = 2.0);
 
     compiler::Program compile(const trace::Trace &tr) const override;
+    std::string loweringKey() const override;
+    compiler::Program
+    compileShared(const trace::Trace &tr,
+                  const compiler::LoweringLookup &lookup) const override;
+    /** Partition `tr` by scheme and lower each chip's share. */
+    std::shared_ptr<const compiler::LoweredProgram>
+    lower(const trace::Trace &tr) const;
+    /** Bind each chip's share of a composed lowering to that chip. */
+    compiler::Program
+    bind(std::shared_ptr<const compiler::LoweredProgram> lowered) const;
     using AcceleratorModel::execute;
     RunResult execute(const compiler::Program &program,
                       const RunOptions &opts) const override;

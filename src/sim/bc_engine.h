@@ -5,22 +5,27 @@
  *
  * The executor replicates CycleEngine::issue() arithmetic operation for
  * operation — same expressions, same evaluation order, same divisions —
- * over the pre-computed BcInst terms, so its RunStats (and an attached
- * Timeline, and a TimeoutError trip) are bit-identical to the IR
- * interpreter's.  What changes is the cost per instruction:
- *   - no virtual cost-model calls (terms are baked into the BcInst),
+ * over the bound cost rows, so its RunStats (and an attached Timeline,
+ * and a TimeoutError trip) are bit-identical to the IR interpreter's.
+ * What changes is the cost per instruction:
+ *   - no virtual cost-model calls: each instruction reads the cost row
+ *     of its shape, cost[code[k].shape], bound once per Program, and the
+ *     pipeline fill is one run constant,
  *   - the scratchpad is a dense slot array with an intrusive LRU list
  *     instead of unordered_map + std::list,
  *   - the prefetch window is a flat ring buffer instead of a deque,
  *   - every folded loop (all trips of its all-Stream body) and every
  *     fused run (BcInst::runLen > 1) goes through one Stream kernel with
- *     no kind, phase or loop dispatch between its instructions.
+ *     no kind, phase or loop dispatch between its instructions; the
+ *     span's cost rows are first copied into one contiguous block, so
+ *     the kernel walks rows with no shape lookup (a loop body's copy is
+ *     made once for all its trips).
  *
  * State in locals, same expressions, same order: for a whole exec() the
  * clocks, prefetch-ring cursors, instCount, scalar accumulators and a
  * copy of busyCycles/opStats live in a HotState local, not in members
- * reached through `this` (BcInst's doubles could alias those, so every
- * step would reload and re-store them).  The Stream kernel copies the
+ * reached through `this` (the cost rows' doubles could alias those, so
+ * every step would reload and re-store them).  The Stream kernel copies the
  * scalar part into its own locals for a span, so the compiler keeps it
  * in registers.  The state is written back once at the end, before a
  * phase-cache lookup or snapshot, and before an exception leaves the
@@ -137,12 +142,15 @@ class BytecodeEngine
     tripMaxCycles(HotState &h, Regs r) const;
     /// The per-instruction clock and statistics update.
     Times advance(HotState &h, const RunConsts &k, Regs &r,
-                  const compiler::BcInst &b, double fetchBytes,
+                  const compiler::BcCost &c, double fetchBytes,
                   double wbBytes, double memCycles, double spillCycles);
     /// The Stream kernel: `trips` runs of the all-Stream body[0, len).
     void streamSpan(HotState &__restrict h,
-                    const compiler::BcInst *__restrict body, size_t len,
+                    const compiler::BcCost *__restrict rows, size_t len,
                     u64 trips, double zeroSpillCycles);
+    /// Copy the cost rows of body[0, len) into spanRows_, in order.
+    const compiler::BcCost *gatherRows(const compiler::BcInst *body,
+                                       size_t len);
     /// Refuse a fused run the kernel cannot trust (ConfigError).
     void screenRun(size_t head, u64 limit) const;
 
@@ -175,6 +183,8 @@ class BytecodeEngine
     // Per-run content digests, segHashes_[s] for program_->segments[s];
     // filled by run() iff cacheActive_ (lazy: see PhaseSegment docs).
     std::vector<u64> segHashes_;
+    /// The current Stream span's cost rows, contiguous (gatherRows).
+    std::vector<compiler::BcCost> spanRows_;
 
     double computeClock_ = 0.0;
     double memClock_ = 0.0;

@@ -6,6 +6,7 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <string>
 
@@ -13,6 +14,7 @@
 #include "metrics/flight_recorder.h"
 #include "metrics/metrics.h"
 #include "sim/timeline.h"
+#include "trace/trace.h"
 
 namespace ufc {
 namespace sim {
@@ -79,6 +81,15 @@ throwMaxCycles(double simCycles, u64 bound, u64 instCount)
 }
 
 } // namespace detail
+
+u64
+digestFields(std::initializer_list<double> fields)
+{
+    u64 h = trace::detail::kFnvOffset;
+    for (double f : fields)
+        trace::detail::mix64(h, std::bit_cast<u64>(f));
+    return h;
+}
 
 double
 SpadModel::access(const isa::BufferRef &ref, double &writebackBytes)

@@ -24,6 +24,7 @@
 
 #include <chrono>
 #include <deque>
+#include <initializer_list>
 #include <list>
 #include <unordered_map>
 
@@ -80,7 +81,15 @@ class MachinePerf
      *  datapath is occupied but does no useful work (lowers utilization
      *  of fine-grained instruction streams, e.g. TFHE blind rotation). */
     virtual double pipelineFillCycles() const { return 24.0; }
+    /** Digest of every configuration field the machine's costs depend
+     *  on (the name excluded): equal digests bind equal cost rows, so a
+     *  bound Program executes only on a machine with the same digest. */
+    virtual u64 configDigest() const = 0;
 };
+
+/** MachinePerf::configDigest helper: FNV/splitmix digest of the bit
+ *  patterns of `fields` in order (ints and flags convert exactly). */
+u64 digestFields(std::initializer_list<double> fields);
 
 /** LRU scratchpad at operand-buffer granularity. */
 class SpadModel

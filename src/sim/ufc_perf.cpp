@@ -150,5 +150,20 @@ UfcPerf::scratchpadBytes() const
     return cfg_.scratchpadMb * 1024.0 * 1024.0;
 }
 
+u64
+UfcPerf::configDigest() const
+{
+    // Every field of the config (the name aside): the cost model and the
+    // physical units read them all.
+    return sim::digestFields(
+        {double(cfg_.peRows), double(cfg_.peCols),
+         double(cfg_.butterfliesPerPe), double(cfg_.lanesPerPe),
+         cfg_.scratchpadMb, cfg_.registerFileKb, cfg_.hbmGBs,
+         cfg_.lweSpadKb, double(cfg_.cgNetworks),
+         double(cfg_.globalNocWordsPerCycle), double(cfg_.crossbarPorts),
+         cfg_.freqGHz, double(cfg_.wordBits), double(cfg_.onTheFlyKeyGen),
+         double(cfg_.smallPolyPacking)});
+}
+
 } // namespace sim
 } // namespace ufc

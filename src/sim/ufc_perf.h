@@ -27,6 +27,7 @@ class UfcPerf : public MachinePerf
     double nocCycles(const isa::HwInst &inst) const override;
     double hbmBytesPerCycle() const override;
     double scratchpadBytes() const override;
+    u64 configDigest() const override;
     /** Flattened (non-pipelined) function units refill quickly. */
     double pipelineFillCycles() const override { return 10.0; }
 

@@ -236,9 +236,10 @@ class ContentHasher
 /**
  * FNV-1a content hash over everything that influences a lowering: the
  * name (stamped into results), the parameter header, the op stream and
- * the phase marks.  Two traces with equal hashes compile to the same
- * Program on the same model, which is what the runner's ProgramCache
- * keys on; file identity and load path do not matter.
+ * the phase marks.  Two traces with equal hashes lower to the same
+ * LoweredProgram under the same lowering options, which is what the
+ * runner's ProgramCache keys on; file identity and load path do not
+ * matter.
  */
 u64 contentHash(const Trace &tr);
 

@@ -26,6 +26,7 @@
 #include "common/fault.h"
 #include "compiler/bytecode.h"
 #include "metrics/metrics.h"
+#include "program_edit.h"
 #include "runner/runner.h"
 #include "sim/accelerator.h"
 #include "sim/timeline.h"
@@ -350,7 +351,7 @@ TEST(BytecodeProgram, ContentHashTracksContent)
     EXPECT_NE(trace::contentHash(a), trace::contentHash(c));
 }
 
-TEST(BytecodeProgram, ProgramCacheCompilesOncePerModelTracePair)
+TEST(BytecodeProgram, ProgramCacheLowersOncePerLoweringKey)
 {
     runner::ProgramCache cache;
     const auto model = std::make_shared<UfcModel>();
@@ -358,19 +359,61 @@ TEST(BytecodeProgram, ProgramCacheCompilesOncePerModelTracePair)
 
     const auto p1 = cache.get(*model, tr);
     const auto p2 = cache.get(*model, tr);
-    EXPECT_EQ(p1.get(), p2.get()); // same shared Program object
-    EXPECT_EQ(cache.compiles(), 1u);
+    EXPECT_EQ(p1.lowered.get(), p2.lowered.get()); // one shared lowering
+    EXPECT_EQ(cache.lowerings(), 1u);
     EXPECT_EQ(cache.hits(), 1u);
 
-    // A different model instance is a different key even for the same
-    // trace (DSE sweeps depend on this: configs must not share code).
+    // Another instance of the same config, and a DSE point that only
+    // changes machine costs (CG networks, scratchpad), lower the trace
+    // identically: they share the lowering and bind their own costs.
+    UfcConfig dse;
+    dse.cgNetworks = 4;
+    dse.scratchpadMb = 64;
     const auto other = std::make_shared<UfcModel>();
+    const auto costOnly = std::make_shared<UfcModel>(dse);
     const auto p3 = cache.get(*other, tr);
-    EXPECT_NE(p1.get(), p3.get());
-    EXPECT_EQ(cache.compiles(), 2u);
+    const auto p4 = cache.get(*costOnly, tr);
+    EXPECT_EQ(p1.lowered.get(), p3.lowered.get());
+    EXPECT_EQ(p1.lowered.get(), p4.lowered.get());
+    EXPECT_EQ(cache.lowerings(), 1u);
+    EXPECT_EQ(costOnly->execute(p4).toJson(), costOnly->run(tr).toJson());
+
+    // Lane count feeds the packing decision: a different lowering key.
+    UfcConfig lanes;
+    lanes.lanesPerPe = 64;
+    const auto narrow = std::make_shared<UfcModel>(lanes);
+    EXPECT_NE(narrow->loweringKey(), model->loweringKey());
+    const auto p5 = cache.get(*narrow, tr);
+    EXPECT_NE(p1.lowered.get(), p5.lowered.get());
+    EXPECT_EQ(cache.lowerings(), 2u);
 
     // Cached Programs execute identically to a fresh run.
-    EXPECT_EQ(model->execute(*p1).toJson(), model->run(tr).toJson());
+    EXPECT_EQ(model->execute(p1).toJson(), model->run(tr).toJson());
+}
+
+TEST(BytecodeProgram, ExecuteRejectsProgramBoundForAnotherConfig)
+{
+    // Every UfcConfig is named "UFC": the config digest, not the name,
+    // must stop a fig14 Program from running on the Table II machine.
+    const auto tr = workloads::sorting(ckks::CkksParams::c1(), 512);
+    UfcConfig lanes64;
+    lanes64.lanesPerPe = 64;
+    const UfcModel dse(lanes64);
+    const UfcModel table2(UfcConfig::tableII());
+    ASSERT_EQ(dse.name(), table2.name());
+    const compiler::Program p = dse.compile(tr);
+    EXPECT_THROW(table2.execute(p), ConfigError);
+
+    // Scratchpad size only matters at execution, yet it is part of the
+    // bound machine: a differently sized scratchpad is refused too.
+    UfcConfig smallSpad;
+    smallSpad.scratchpadMb = 32;
+    EXPECT_THROW(UfcModel(smallSpad).execute(table2.compile(tr)),
+                 ConfigError);
+
+    // The same config on two model instances still executes.
+    const UfcModel twin(lanes64);
+    EXPECT_EQ(twin.execute(p).toJson(), dse.execute(p).toJson());
 }
 
 TEST(BytecodeProgram, RunnerBatchMatchesIrBatch)
@@ -410,8 +453,8 @@ TEST(BytecodeFusion, BootstrapProgramContainsLegalFusedRuns)
     const UfcModel model;
     const compiler::Program program =
         model.compile(workloads::ckksBootstrapping(ckks::CkksParams::c1()));
-    EXPECT_GT(program.fusedRuns, 0u);
-    EXPECT_GT(program.fusedInsts, program.fusedRuns);
+    EXPECT_GT(program.lowered->fusedRuns, 0u);
+    EXPECT_GT(program.lowered->fusedInsts, program.lowered->fusedRuns);
 
     analysis::DiagnosticReport rep;
     compiler::verifyProgram(program, rep);
@@ -455,9 +498,11 @@ programWithRun(size_t *headOut)
 TEST(BytecodeFusion, VerifierFlagsRunOverrun)
 {
     size_t head = 0;
-    compiler::Program program = programWithRun(&head);
-    program.code[head].runLen =
-        static_cast<u16>(program.code.size() - head + 1);
+    const compiler::Program program = testutil::editLowering(
+        programWithRun(&head), [&](compiler::LoweredProgram &lp) {
+            lp.code[head].runLen =
+                static_cast<u16>(lp.code.size() - head + 1);
+        });
     analysis::DiagnosticReport rep;
     compiler::verifyProgram(program, rep);
     ASSERT_GT(rep.errorCount(), 0u);
@@ -467,8 +512,10 @@ TEST(BytecodeFusion, VerifierFlagsRunOverrun)
 TEST(BytecodeFusion, VerifierFlagsCachedOperandInsideRun)
 {
     size_t head = 0;
-    compiler::Program program = programWithRun(&head);
-    program.code[head + 1].kind = compiler::BcKind::Mem;
+    const compiler::Program program = testutil::editLowering(
+        programWithRun(&head), [&](compiler::LoweredProgram &lp) {
+            lp.code[head + 1].kind = compiler::BcKind::Mem;
+        });
     analysis::DiagnosticReport rep;
     compiler::verifyProgram(program, rep);
     ASSERT_GT(rep.errorCount(), 0u);
@@ -478,12 +525,16 @@ TEST(BytecodeFusion, VerifierFlagsCachedOperandInsideRun)
 TEST(BytecodeFusion, VerifierFlagsPhaseMarkerInsideRun)
 {
     size_t head = 0;
-    compiler::Program program = programWithRun(&head);
-    program.phaseEvents.push_back(compiler::PhaseEvent{
-        static_cast<u64>(head) + 1, compiler::PhaseEvent::kEnd});
-    std::sort(program.phaseEvents.begin(), program.phaseEvents.end(),
-              [](const compiler::PhaseEvent &a,
-                 const compiler::PhaseEvent &b) { return a.inst < b.inst; });
+    const compiler::Program program = testutil::editLowering(
+        programWithRun(&head), [&](compiler::LoweredProgram &lp) {
+            lp.phaseEvents.push_back(compiler::PhaseEvent{
+                static_cast<u64>(head) + 1, compiler::PhaseEvent::kEnd});
+            std::sort(lp.phaseEvents.begin(), lp.phaseEvents.end(),
+                      [](const compiler::PhaseEvent &a,
+                         const compiler::PhaseEvent &b) {
+                          return a.inst < b.inst;
+                      });
+        });
     analysis::DiagnosticReport rep;
     compiler::verifyProgram(program, rep);
     ASSERT_GT(rep.errorCount(), 0u);
@@ -518,14 +569,18 @@ TEST(BytecodeFusion, EngineRejectsMalformedRun)
         if (good.code[i].runLen > 1)
             last = i;
     ASSERT_LT(good.code.size() - last, size_t{0xffff});
-    compiler::Program overrun = good;
-    overrun.code[last].runLen =
-        static_cast<u16>(overrun.code.size() - last + 1);
+    const compiler::Program overrun = testutil::editLowering(
+        good, [&](compiler::LoweredProgram &lp) {
+            lp.code[last].runLen =
+                static_cast<u16>(lp.code.size() - last + 1);
+        });
     EXPECT_NE(executeRefusal(model, overrun).find("bc-fuse-phase-span"),
               std::string::npos);
 
-    compiler::Program mem = good;
-    mem.code[head + 1].kind = compiler::BcKind::Mem;
+    const compiler::Program mem = testutil::editLowering(
+        good, [&](compiler::LoweredProgram &lp) {
+            lp.code[head + 1].kind = compiler::BcKind::Mem;
+        });
     EXPECT_NE(executeRefusal(model, mem).find("bc-fuse-cached-operand"),
               std::string::npos);
 }
@@ -567,7 +622,7 @@ foldedTfheProgram(const UfcModel &model)
 {
     const compiler::Program program = model.compile(
         workloads::pbsThroughput(tfhe::TfheParams::t4(), 64));
-    EXPECT_FALSE(program.loops.empty())
+    EXPECT_FALSE(program.lowered->loops.empty())
         << "TVLP blind rotate should fold its key-reusing iterations";
     return program;
 }
@@ -658,15 +713,15 @@ TEST(BytecodeLoops, MaxCyclesTripsIdenticallyInsideLoop)
 std::vector<size_t>
 executionOrder(const compiler::Program &p)
 {
+    const auto &loops = p.lowered->loops;
     std::vector<size_t> order;
     size_t li = 0;
     for (size_t i = 0; i < p.code.size();) {
-        if (li < p.loops.size() &&
-            i == p.loops[li].end - p.loops[li].bodyLen) {
-            for (u64 t = 0; t < p.loops[li].trips; ++t)
-                for (size_t k = i; k < p.loops[li].end; ++k)
+        if (li < loops.size() && i == loops[li].end - loops[li].bodyLen) {
+            for (u64 t = 0; t < loops[li].trips; ++t)
+                for (size_t k = i; k < loops[li].end; ++k)
                     order.push_back(k);
-            i = p.loops[li].end;
+            i = loops[li].end;
             ++li;
         } else {
             order.push_back(i++);
@@ -696,7 +751,8 @@ TEST(BytecodeLoops, MaxCyclesTripsIdenticallyAtEveryBodyPosition)
     const UfcModel model;
     const auto tr = workloads::pbsThroughput(tfhe::TfheParams::t4(), 16);
     const compiler::Program program = model.compile(tr);
-    ASSERT_FALSE(program.loops.empty());
+    const auto &loops = program.lowered->loops;
+    ASSERT_FALSE(loops.empty());
     const std::vector<size_t> order = executionOrder(program);
     ASSERT_EQ(order.size(), program.totalInsts());
 
@@ -714,7 +770,7 @@ TEST(BytecodeLoops, MaxCyclesTripsIdenticallyAtEveryBodyPosition)
 
     // Executed index of a loop's first instruction, and of a member of a
     // fused run outside every loop.
-    const compiler::BcLoop &lp = program.loops[program.loops.size() / 2];
+    const compiler::BcLoop &lp = loops[loops.size() / 2];
     const size_t loopStart = lp.end - lp.bodyLen;
     const size_t loopExec =
         std::find(order.begin(), order.end(), loopStart) - order.begin();
@@ -801,7 +857,7 @@ TEST(BytecodeLoops, VerifierFlagsMalformedLoops)
 {
     const UfcModel model;
     const compiler::Program good = foldedTfheProgram(model);
-    ASSERT_FALSE(good.loops.empty());
+    ASSERT_FALSE(good.lowered->loops.empty());
 
     auto firstRule = [](const compiler::Program &p) -> std::string {
         analysis::DiagnosticReport rep;
@@ -809,21 +865,30 @@ TEST(BytecodeLoops, VerifierFlagsMalformedLoops)
         return rep.errorCount() ? rep.firstError()->rule : "";
     };
 
-    compiler::Program degenerate = good;
-    degenerate.loops.front().trips = 1;
+    const compiler::Program degenerate = testutil::editLowering(
+        good, [](compiler::LoweredProgram &lp) {
+            lp.loops.front().trips = 1;
+        });
     EXPECT_EQ(firstRule(degenerate), "bc-loop-invariant");
 
-    compiler::Program oob = good;
-    oob.loops.back().end = oob.code.size() + 7;
+    const compiler::Program oob = testutil::editLowering(
+        good, [](compiler::LoweredProgram &lp) {
+            lp.loops.back().end = lp.code.size() + 7;
+        });
     EXPECT_EQ(firstRule(oob), "bc-loop-invariant");
 
-    compiler::Program marked = good;
-    const compiler::BcLoop &lp = marked.loops.front();
-    marked.phaseEvents.push_back(compiler::PhaseEvent{
-        lp.end - (lp.bodyLen > 1 ? 1 : 0), compiler::PhaseEvent::kEnd});
-    std::sort(marked.phaseEvents.begin(), marked.phaseEvents.end(),
-              [](const compiler::PhaseEvent &a,
-                 const compiler::PhaseEvent &b) { return a.inst < b.inst; });
+    const compiler::BcLoop lp = good.lowered->loops.front();
+    const compiler::Program marked = testutil::editLowering(
+        good, [&](compiler::LoweredProgram &edit) {
+            edit.phaseEvents.push_back(compiler::PhaseEvent{
+                lp.end - (lp.bodyLen > 1 ? 1 : 0),
+                compiler::PhaseEvent::kEnd});
+            std::sort(edit.phaseEvents.begin(), edit.phaseEvents.end(),
+                      [](const compiler::PhaseEvent &a,
+                         const compiler::PhaseEvent &b) {
+                          return a.inst < b.inst;
+                      });
+        });
     if (lp.bodyLen > 1) {
         EXPECT_EQ(firstRule(marked), "bc-loop-invariant");
     }
@@ -834,16 +899,20 @@ TEST(BytecodeLoops, EngineRejectsMalformedLoopTable)
     // The executor trusts the loop table for control flow, so a
     // mutated Program must be screened out, not walked off the end.
     const UfcModel model;
-    compiler::Program program = foldedTfheProgram(model);
-    ASSERT_FALSE(program.loops.empty());
-    program.loops.front().end = program.code.size() + 1;
+    const compiler::Program folded = foldedTfheProgram(model);
+    ASSERT_FALSE(folded.lowered->loops.empty());
+    const compiler::Program program = testutil::editLowering(
+        folded, [](compiler::LoweredProgram &lp) {
+            lp.loops.front().end = lp.code.size() + 1;
+        });
     EXPECT_THROW(model.execute(program), ConfigError);
 
     // The Stream kernel runs loop bodies without a kind check, so a
     // scratchpad instruction inside a body is refused up front too.
-    compiler::Program memBody = foldedTfheProgram(model);
-    const compiler::BcLoop &lp = memBody.loops.front();
-    memBody.code[lp.end - 1].kind = compiler::BcKind::Mem;
+    const compiler::Program memBody = testutil::editLowering(
+        folded, [](compiler::LoweredProgram &lp) {
+            lp.code[lp.loops.front().end - 1].kind = compiler::BcKind::Mem;
+        });
     EXPECT_NE(executeRefusal(model, memBody).find("bc-loop-invariant"),
               std::string::npos);
 }

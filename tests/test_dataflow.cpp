@@ -22,6 +22,7 @@
 #include "analysis/domains.h"
 #include "common/error.h"
 #include "compiler/bytecode.h"
+#include "program_edit.h"
 #include "compiler/lowering.h"
 #include "runner/runner.h"
 #include "runner/sweeps.h"
@@ -80,8 +81,37 @@ progSkeleton(u32 spadSlots, double scratchpadBytes)
     p.machine = "unit";
     p.hbmBytesPerCycle = 8.0;
     p.scratchpadBytes = scratchpadBytes;
-    p.spadSlots = spadSlots;
-    return p;
+    return testutil::editLowering(
+        std::move(p),
+        [&](compiler::LoweredProgram &lp) { lp.spadSlots = spadSlots; });
+}
+
+/** Append `inst` with a shape of its own, bound to `cost`. */
+u64
+appendInst(compiler::Program &p, compiler::BcInst inst,
+           const compiler::BcCost &cost,
+           const std::vector<compiler::BcBuf> &bufs = {})
+{
+    p = testutil::editLowering(std::move(p), [&](compiler::LoweredProgram &lp) {
+        inst.shape = static_cast<u32>(lp.shapes.size());
+        compiler::BcShape shape;
+        shape.staticFetchBytes = cost.staticFetchBytes;
+        lp.shapes.push_back(shape);
+        inst.bufBegin = static_cast<u32>(lp.bufs.size());
+        inst.bufCount = static_cast<u16>(bufs.size());
+        lp.bufs.insert(lp.bufs.end(), bufs.begin(), bufs.end());
+        lp.code.push_back(inst);
+    });
+    p.cost.push_back(cost);
+    return p.code.size() - 1;
+}
+
+void
+addLoop(compiler::Program &p, const compiler::BcLoop &loop)
+{
+    p = testutil::editLowering(
+        std::move(p),
+        [&](compiler::LoweredProgram &lp) { lp.loops.push_back(loop); });
 }
 
 struct Operand
@@ -98,19 +128,18 @@ addMemInst(compiler::Program &p, const std::vector<Operand> &operands,
 {
     compiler::BcInst inst;
     inst.kind = compiler::BcKind::Mem;
-    inst.computeCycles = computeCycles;
-    inst.bufBegin = static_cast<u32>(p.bufs.size());
-    inst.bufCount = static_cast<u16>(operands.size());
+    compiler::BcCost cost;
+    cost.computeCycles = computeCycles;
+    std::vector<compiler::BcBuf> bufs;
     for (const Operand &o : operands) {
         compiler::BcBuf buf;
         buf.id = o.id;
         buf.bytes = o.bytes;
         buf.slot = o.slot;
         buf.write = o.write;
-        p.bufs.push_back(buf);
+        bufs.push_back(buf);
     }
-    p.code.push_back(inst);
-    return p.code.size() - 1;
+    return appendInst(p, inst, cost, bufs);
 }
 
 u64
@@ -119,12 +148,12 @@ addStreamInst(compiler::Program &p, double fetchBytes = 64.0,
 {
     compiler::BcInst inst;
     inst.kind = compiler::BcKind::Stream;
-    inst.computeCycles = 10.0;
-    inst.staticFetchBytes = fetchBytes;
-    inst.staticMemCycles = fetchBytes / p.hbmBytesPerCycle;
     inst.runLen = runLen;
-    p.code.push_back(inst);
-    return p.code.size() - 1;
+    compiler::BcCost cost;
+    cost.computeCycles = 10.0;
+    cost.staticFetchBytes = fetchBytes;
+    cost.staticMemCycles = fetchBytes / p.hbmBytesPerCycle;
+    return appendInst(p, inst, cost);
 }
 
 DiagnosticReport
@@ -180,7 +209,7 @@ TEST(DataflowCfg, ProgramCfgLoopBodyCarriesTripsAndSelfEdge)
     compiler::Program p = progSkeleton(0, 0.0);
     for (int i = 0; i < 4; ++i)
         addStreamInst(p);
-    p.loops.push_back(compiler::BcLoop{3, 2, 5}); // body [1, 3) x5
+    addLoop(p, compiler::BcLoop{3, 2, 5}); // body [1, 3) x5
 
     const Cfg cfg = analysis::cfgFromProgram(p);
     ASSERT_EQ(cfg.blocks.size(), 3u);
@@ -456,13 +485,13 @@ TEST(DataflowProgramRules, LoopMemdepPositiveAndNegative)
     compiler::Program bad = progSkeleton(1, 4096.0);
     addStreamInst(bad);
     addMemInst(bad, {{0, 7, 100.0, false}});
-    bad.loops.push_back(compiler::BcLoop{2, 1, 3}); // body = the Mem inst
+    addLoop(bad, compiler::BcLoop{2, 1, 3}); // body = the Mem inst
     EXPECT_TRUE(rulesIn(programReport(bad)).count("df-loop-memdep"));
 
     compiler::Program good = progSkeleton(0, 4096.0);
     addStreamInst(good);
     addStreamInst(good);
-    good.loops.push_back(compiler::BcLoop{2, 1, 3});
+    addLoop(good, compiler::BcLoop{2, 1, 3});
     EXPECT_TRUE(programReport(good).empty());
 }
 
@@ -570,7 +599,7 @@ TEST(DataflowBounds, LoopTripsWeighTheBounds)
     addStreamInst(p, 80.0); // 10 compute + 10 mem cycles at 8 B/cycle
     compiler::Program looped = progSkeleton(0, 0.0);
     addStreamInst(looped, 80.0);
-    looped.loops.push_back(compiler::BcLoop{1, 1, 4});
+    addLoop(looped, compiler::BcLoop{1, 1, 4});
 
     const CostBounds once = analysis::analyzeCostBounds(p);
     const CostBounds four = analysis::analyzeCostBounds(looped);

@@ -467,9 +467,9 @@ TEST_F(MetricsTest, ProgramCacheEvictsFifoAtBound)
     runner::ProgramCache cache(2);
     const auto p1 = cache.get(*model, t1);
     const auto p2 = cache.get(*model, t2);
-    ASSERT_NE(p1, nullptr);
-    ASSERT_NE(p2, nullptr);
-    EXPECT_EQ(cache.compiles(), 2u);
+    EXPECT_EQ(p1.workload, t1.name);
+    EXPECT_EQ(p2.workload, t2.name);
+    EXPECT_EQ(cache.lowerings(), 2u);
     EXPECT_EQ(cache.evictions(), 0u);
 
     // Same key twice is a hit, not an insert — nothing is evicted.
@@ -479,14 +479,14 @@ TEST_F(MetricsTest, ProgramCacheEvictsFifoAtBound)
 
     // A third key exceeds the bound and evicts the oldest (t1).
     (void)cache.get(*model, t3);
-    EXPECT_EQ(cache.compiles(), 3u);
+    EXPECT_EQ(cache.lowerings(), 3u);
     EXPECT_EQ(cache.evictions(), 1u);
 
     // t1 was evicted: fetching it again re-compiles (deterministically,
     // so the Program is equivalent) rather than hitting.
     const auto p1b = cache.get(*model, t1);
-    ASSERT_NE(p1b, nullptr);
-    EXPECT_EQ(cache.compiles(), 4u);
+    EXPECT_EQ(p1b.code.size(), p1.code.size());
+    EXPECT_EQ(cache.lowerings(), 4u);
     EXPECT_EQ(cache.hits(), 1u);
 
     // The registry counter moved with the member counter.
@@ -505,7 +505,7 @@ TEST_F(MetricsTest, ProgramCacheUnboundedNeverEvicts)
                                          tfhe::TfheParams::t1(), 256, 8,
                                          4));
     (void)cache.get(*model, smallHybridTrace());
-    EXPECT_EQ(cache.compiles(), 2u);
+    EXPECT_EQ(cache.lowerings(), 2u);
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_EQ(cache.evictions(), 0u);
 }

@@ -20,6 +20,7 @@
 #include "common/error.h"
 #include "common/fault.h"
 #include "compiler/bytecode.h"
+#include "program_edit.h"
 #include "sim/accelerator.h"
 #include "sim/phase_cache.h"
 #include "sim/timeline.h"
@@ -81,7 +82,7 @@ TEST(PhaseCacheDifferential, BuiltinsBitIdentical)
             << tr.name << " (populating run)";
         EXPECT_EQ(runCached(model, tr, cache).toJson(), uncached)
             << tr.name << " (replaying run)";
-        if (model.compile(tr).segments.empty())
+        if (model.compile(tr).lowered->segments.empty())
             EXPECT_EQ(cache.lookups(), 0u) << tr.name;
         else
             EXPECT_GT(cache.hits(), 0u) << tr.name;
@@ -238,7 +239,6 @@ TEST(PhaseCacheDifferential, ForcedCollisionDoesNotReplayWrongState)
     // state entering phase 2 differs from the state entering phase 1
     // (clocks and stats have advanced), so entry-state keying must keep
     // them apart — zero hits on the first run, bit-identical output.
-    const sim::UfcPerf perf{sim::UfcConfig::tableII()};
     isa::HwInst inst;
     inst.op = isa::HwOp::Ewma;
     inst.logDegree = 16;
@@ -251,8 +251,8 @@ TEST(PhaseCacheDifferential, ForcedCollisionDoesNotReplayWrongState)
     ref.streaming = true;
     inst.buffers.push_back(ref);
 
-    compiler::Program program;
-    compiler::ProgramBuilder builder(&perf, &program);
+    compiler::LoweredProgram lowered;
+    compiler::ProgramBuilder builder(&lowered);
     for (const char *phase : {"twin_a", "twin_b"}) {
         builder.beginPhase(phase);
         for (u64 i = 0; i < compiler::kMinSegmentInsts; ++i)
@@ -260,16 +260,16 @@ TEST(PhaseCacheDifferential, ForcedCollisionDoesNotReplayWrongState)
         builder.endPhase();
     }
     builder.finish();
-    program.workload = "twin";
-    program.machine = "UFC";
+    lowered.workload = "twin";
+    const compiler::Program program =
+        testutil::bindUfc(std::move(lowered));
+    const auto &segs = program.lowered->segments;
 
-    ASSERT_EQ(program.segments.size(), 2u);
-    EXPECT_EQ(compiler::segmentContentHash(program,
-                                           program.segments[0].begin,
-                                           program.segments[0].end),
-              compiler::segmentContentHash(program,
-                                           program.segments[1].begin,
-                                           program.segments[1].end))
+    ASSERT_EQ(segs.size(), 2u);
+    EXPECT_EQ(compiler::segmentContentHash(program, segs[0].begin,
+                                           segs[0].end),
+              compiler::segmentContentHash(program, segs[1].begin,
+                                           segs[1].end))
         << "twin phases should digest identically";
 
     const UfcModel model;
@@ -300,20 +300,24 @@ TEST(PhaseCacheDifferential, LoopStartingAtSegmentBeginBitIdentical)
     // segment at a loop start: a boundary between a loop and the
     // instruction before it is a legal memoization point.
     const UfcModel model;
-    compiler::Program program =
+    const compiler::Program compiled =
         model.compile(workloads::pbsThroughput(tfhe::TfheParams::t4(), 16));
-    ASSERT_EQ(program.segments.size(), 1u);
-    const compiler::PhaseSegment whole = program.segments.front();
-    const compiler::BcLoop &lp = program.loops[program.loops.size() / 2];
+    const auto &loops = compiled.lowered->loops;
+    ASSERT_EQ(compiled.lowered->segments.size(), 1u);
+    const compiler::PhaseSegment whole = compiled.lowered->segments.front();
+    const compiler::BcLoop &lp = loops[loops.size() / 2];
     const u64 split = lp.end - lp.bodyLen;
     ASSERT_GE(split - whole.begin, compiler::kMinSegmentInsts);
     ASSERT_GE(whole.end - split, compiler::kMinSegmentInsts);
-    program.segments = {{whole.begin, split, whole.name},
-                        {split, whole.end, whole.name}};
+    const compiler::Program program = testutil::editLowering(
+        compiled, [&](compiler::LoweredProgram &edit) {
+            edit.segments = {{whole.begin, split, whole.name},
+                             {split, whole.end, whole.name}};
+        });
 
     size_t loopsAtBegin = 0;
-    for (const compiler::BcLoop &l : program.loops)
-        for (const compiler::PhaseSegment &seg : program.segments)
+    for (const compiler::BcLoop &l : loops)
+        for (const compiler::PhaseSegment &seg : program.lowered->segments)
             if (l.end - l.bodyLen == seg.begin)
                 ++loopsAtBegin;
     ASSERT_GT(loopsAtBegin, 0u) << "no loop starts at a segment begin";
@@ -334,18 +338,19 @@ TEST(PhaseCacheDifferential, RepeatRunsHitEverySegment)
     const Trace tr =
         workloads::ckksBootstrapping(ckks::CkksParams::c1(), 2);
     const compiler::Program program = model.compile(tr);
-    ASSERT_GE(program.segments.size(), 2u);
+    const std::size_t segments = program.lowered->segments.size();
+    ASSERT_GE(segments, 2u);
 
     PhaseCache cache;
     RunOptions opts;
     opts.phaseCache = &cache;
     const std::string first = model.execute(program, opts).toJson();
     EXPECT_EQ(cache.hits(), 0u);
-    EXPECT_EQ(cache.misses(), program.segments.size());
+    EXPECT_EQ(cache.misses(), segments);
 
     const std::string second = model.execute(program, opts).toJson();
     EXPECT_EQ(second, first);
-    EXPECT_EQ(cache.hits(), program.segments.size())
+    EXPECT_EQ(cache.hits(), segments)
         << "identical rerun should replay every memoized phase";
 }
 
@@ -406,10 +411,13 @@ TEST(PhaseCacheUnit, MalformedSegmentTableRejectedWhenCacheArmed)
     // The engine trusts segment bounds for its skip jumps, so a
     // mutated table must be screened out before execution.
     const UfcModel model;
-    compiler::Program program = model.compile(
+    const compiler::Program compiled = model.compile(
         workloads::ckksBootstrapping(ckks::CkksParams::c1(), 2));
-    ASSERT_FALSE(program.segments.empty());
-    program.segments.front().end = program.code.size() + 5;
+    ASSERT_FALSE(compiled.lowered->segments.empty());
+    const compiler::Program program = testutil::editLowering(
+        compiled, [](compiler::LoweredProgram &lp) {
+            lp.segments.front().end = lp.code.size() + 5;
+        });
 
     // Without a cache the table is inert and the program still runs.
     EXPECT_NO_THROW(model.execute(program));

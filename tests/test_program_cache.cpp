@@ -1,12 +1,12 @@
 /**
  * @file
- * Coverage for the batch ProgramCache gaps called out after PR 6:
- * single-use (model, trace) pairs must release their compiled Program
- * at job end instead of retaining it for the whole batch (asserted via
- * the live-Program instance counter), a concurrent shared_future get()
- * of one pair must compile exactly once, and BcLoop repeat folding at
- * trip-count edge values must execute identically to the unrolled
- * stream.
+ * Coverage for the batch ProgramCache: single-use jobs must release
+ * their compiled Program at job end instead of retaining it for the
+ * whole batch (asserted via the live-Program instance counter), a
+ * concurrent shared_future get() of one key must lower exactly once,
+ * shared lowerings must bind bit-identically to private compiles across
+ * the whole paper sweep, and BcLoop repeat folding at trip-count edge
+ * values must execute identically to the unrolled stream.
  */
 
 #include <memory>
@@ -17,7 +17,10 @@
 
 #include "common/error.h"
 #include "compiler/bytecode.h"
+#include "metrics/metrics.h"
+#include "program_edit.h"
 #include "runner/runner.h"
+#include "runner/sweeps.h"
 #include "sim/accelerator.h"
 #include "sim/ufc_perf.h"
 #include "workloads/workloads.h"
@@ -33,18 +36,18 @@ using sim::UfcModel;
 
 TEST(ProgramCacheGaps, ConcurrentGetCompilesExactlyOnce)
 {
-    // Many threads race get() on one (model, trace) pair: the first
-    // requester installs a shared future and compiles outside the map
-    // lock, the rest must block on it — exactly one compile, one shared
-    // instance.  Run under -DUFC_SANITIZE=thread to certify the
-    // synchronization, not just the counters.
+    // Many threads race get() on one key: the first requester installs
+    // a shared future and lowers outside the map lock, the rest must
+    // block on it — exactly one lowering, one shared instance.  Run
+    // under -DUFC_SANITIZE=thread to certify the synchronization, not
+    // just the counters.
     const auto model = std::make_shared<UfcModel>();
     const auto tr = std::make_shared<trace::Trace>(
         workloads::ckksBootstrapping(ckks::CkksParams::c1()));
 
     constexpr int kThreads = 8;
     ProgramCache cache;
-    std::vector<std::shared_ptr<const compiler::Program>> got(kThreads);
+    std::vector<compiler::Program> got(kThreads);
     {
         std::vector<std::thread> pool;
         pool.reserve(kThreads);
@@ -55,26 +58,70 @@ TEST(ProgramCacheGaps, ConcurrentGetCompilesExactlyOnce)
             th.join();
     }
     for (int t = 0; t < kThreads; ++t) {
-        ASSERT_NE(got[t], nullptr) << t;
-        EXPECT_EQ(got[t].get(), got[0].get()) << t;
+        EXPECT_EQ(got[t].code.size(), got[0].code.size()) << t;
+        EXPECT_EQ(got[t].lowered.get(), got[0].lowered.get()) << t;
     }
-    EXPECT_EQ(cache.compiles(), 1u);
+    EXPECT_EQ(cache.lowerings(), 1u);
     EXPECT_EQ(cache.hits(), static_cast<u64>(kThreads - 1));
 }
 
 TEST(ProgramCacheGaps, CompileErrorCachedAndRethrownToAll)
 {
-    // A deterministic compile failure is cached too: every requester
-    // gets the same typed error and the compile runs once.
-    const auto model = std::make_shared<sim::SharpModel>();
+    // A model that refuses the trace refuses it on every request,
+    // before any lowering is looked up or made.
+    const auto sharp = std::make_shared<sim::SharpModel>();
     const auto tr = std::make_shared<trace::Trace>(
         workloads::pbsThroughput(tfhe::TfheParams::t4(), 16));
     ProgramCache cache;
     for (int attempt = 0; attempt < 3; ++attempt)
-        EXPECT_THROW((void)cache.get(*model, *tr), ConfigError)
+        EXPECT_THROW((void)cache.get(*sharp, *tr), ConfigError)
             << attempt;
-    EXPECT_EQ(cache.compiles(), 1u);
+    EXPECT_EQ(cache.lowerings(), 0u);
+
+    // A deterministic lowering failure is cached: every requester gets
+    // the same typed error and the lowering runs once.
+    struct FailingLowering final : UfcModel
+    {
+        mutable int calls = 0;
+        compiler::Program
+        compileShared(const trace::Trace &,
+                      const compiler::LoweringLookup &lookup)
+            const override
+        {
+            return bind(
+                lookup([this]() -> std::shared_ptr<
+                                    const compiler::LoweredProgram> {
+                    ++calls;
+                    throw TraceError("lowering failed");
+                }));
+        }
+    };
+    const FailingLowering failing;
+    for (int attempt = 0; attempt < 3; ++attempt)
+        EXPECT_THROW((void)cache.get(failing, *tr), TraceError) << attempt;
+    EXPECT_EQ(failing.calls, 1);
+    EXPECT_EQ(cache.lowerings(), 1u);
     EXPECT_EQ(cache.hits(), 2u);
+}
+
+TEST(ProgramCacheGaps, ForeignTraceRefusedAfterAnotherModelLoweredIt)
+{
+    // SHARP's admission runs before the cache is consulted, so a TFHE
+    // trace the UFC jobs of the same batch lowered and shared is still
+    // refused on SHARP — and only that job fails.
+    const auto tr = std::make_shared<trace::Trace>(
+        workloads::pbsThroughput(tfhe::TfheParams::t1(), 16));
+    std::vector<Job> jobs(3);
+    jobs[0] = {"ufc/a", std::make_shared<UfcModel>(), tr, {}, ""};
+    jobs[1] = {"ufc/b", std::make_shared<UfcModel>(), tr, {}, ""};
+    jobs[2] = {"sharp", std::make_shared<sim::SharpModel>(), tr, {}, ""};
+    RunnerConfig cfg;
+    cfg.threads = 1;
+    const auto batch = ExperimentRunner(cfg).runAll(jobs);
+    EXPECT_TRUE(batch.outcomes[0].ok());
+    EXPECT_TRUE(batch.outcomes[1].ok());
+    EXPECT_EQ(batch.outcomes[2].status, runner::JobStatus::Failed);
+    EXPECT_EQ(batch.outcomes[2].errorKind, "ConfigError");
 }
 
 TEST(ProgramCacheGaps, SingleUseJobsReleaseTheirPrograms)
@@ -121,8 +168,8 @@ TEST(ProgramCacheGaps, SingleUseJobsReleaseTheirPrograms)
 TEST(ProgramCacheGaps, SharedPairsRetainUntilBatchEnd)
 {
     // Counter-case: two jobs sharing one (model, trace) pair go through
-    // the cache, which holds the Program for the batch; it must still
-    // be freed once the batch (and its cache) is gone.
+    // the cache, which holds the lowering until the last of them binds
+    // it; every Program must still be freed once the batch is gone.
     const auto model = std::make_shared<UfcModel>();
     const auto tr = std::make_shared<trace::Trace>(
         workloads::ckksBootstrapping(ckks::CkksParams::c1()));
@@ -146,46 +193,69 @@ TEST(ProgramCacheGaps, SharedPairsRetainUntilBatchEnd)
     EXPECT_NE(batch.results[0].toJson(), batch.results[1].toJson());
 }
 
+TEST(ProgramCacheGaps, SharedLoweringReleasedAfterLastAnnouncedUse)
+{
+    // runAll announces each shared key's job count: the entry goes at
+    // the last request, so the lowering lives exactly as long as the
+    // Programs bound to it.  An unannounced key stays cached.
+    const UfcModel model;
+    const trace::Trace tr =
+        workloads::ckksBootstrapping(ckks::CkksParams::c1());
+    ProgramCache cache;
+    cache.expectUses(model.loweringKey(), trace::contentHash(tr), 2);
+    std::weak_ptr<const compiler::LoweredProgram> shared;
+    {
+        const compiler::Program a = cache.get(model, tr);
+        const compiler::Program b = cache.get(model, tr);
+        EXPECT_EQ(a.lowered.get(), b.lowered.get());
+        shared = a.lowered;
+    }
+    EXPECT_TRUE(shared.expired());
+    EXPECT_EQ(cache.lowerings(), 1u);
+
+    std::weak_ptr<const compiler::LoweredProgram> kept;
+    kept = cache.get(model, tr).lowered; // a fresh, unannounced entry
+    EXPECT_FALSE(kept.expired());
+    EXPECT_EQ(cache.lowerings(), 2u);
+}
+
 // ---------------------------------------------------------------------
 // BcLoop repeat folding at trip-count edge values.
 
 /** Expand every folded loop of `p` back into a flat stream, shifting
- *  the downstream events/segments like the builder would have emitted
- *  them unrolled. */
+ *  the downstream events like the builder would have emitted them
+ *  unrolled. */
 compiler::Program
 unrolled(const compiler::Program &p)
 {
-    compiler::Program out = p;
-    out.code.clear();
-    out.debug.clear();
-    out.loops.clear();
-    out.phaseEvents.clear();
-    out.segments.clear(); // regions shift; recompute is not needed here
+    const compiler::LoweredProgram &in = *p.lowered;
+    return testutil::editLowering(p, [&](compiler::LoweredProgram &out) {
+        out.code.clear();
+        out.loops.clear();
+        out.phaseEvents.clear();
+        out.segments.clear(); // regions shift; not needed here
 
-    std::size_t li = 0;
-    std::size_t ev = 0;
-    for (std::size_t i = 0; i <= p.code.size(); ++i) {
-        while (ev < p.phaseEvents.size() && p.phaseEvents[ev].inst == i) {
-            out.phaseEvents.push_back(
-                {out.code.size(), p.phaseEvents[ev].name});
-            ++ev;
+        std::size_t li = 0;
+        std::size_t ev = 0;
+        for (std::size_t i = 0; i <= in.code.size(); ++i) {
+            while (ev < in.phaseEvents.size() &&
+                   in.phaseEvents[ev].inst == i) {
+                out.phaseEvents.push_back(
+                    {out.code.size(), in.phaseEvents[ev].name});
+                ++ev;
+            }
+            if (li < in.loops.size() && in.loops[li].end == i) {
+                const auto &lp = in.loops[li];
+                const std::size_t bodyBegin = i - lp.bodyLen;
+                for (u64 t = 1; t < lp.trips; ++t)
+                    for (std::size_t k = bodyBegin; k < i; ++k)
+                        out.code.push_back(in.code[k]);
+                ++li;
+            }
+            if (i < in.code.size())
+                out.code.push_back(in.code[i]);
         }
-        if (li < p.loops.size() && p.loops[li].end == i) {
-            const auto &lp = p.loops[li];
-            const std::size_t bodyBegin = i - lp.bodyLen;
-            for (u64 t = 1; t < lp.trips; ++t)
-                for (std::size_t k = bodyBegin; k < i; ++k) {
-                    out.code.push_back(p.code[k]);
-                    out.debug.push_back(p.debug[k]);
-                }
-            ++li;
-        }
-        if (i < p.code.size()) {
-            out.code.push_back(p.code[i]);
-            out.debug.push_back(p.debug[i]);
-        }
-    }
-    return out;
+    });
 }
 
 TEST(ProgramCacheGaps, FoldedLoopExecutesIdenticallyToUnrolled)
@@ -193,7 +263,7 @@ TEST(ProgramCacheGaps, FoldedLoopExecutesIdenticallyToUnrolled)
     const UfcModel model;
     const compiler::Program folded = model.compile(
         workloads::pbsThroughput(tfhe::TfheParams::t4(), 64));
-    ASSERT_FALSE(folded.loops.empty());
+    ASSERT_FALSE(folded.lowered->loops.empty());
     const compiler::Program flat = unrolled(folded);
     ASSERT_GT(flat.code.size(), folded.code.size());
     EXPECT_EQ(flat.totalInsts(), folded.totalInsts());
@@ -207,7 +277,6 @@ TEST(ProgramCacheGaps, RepeatOfferEdgeTripCounts)
     // trips < 2 must be refused (the producer then unrolls itself), and
     // an accepted fold at any trip count must execute identically to
     // the same stream emitted flat.
-    const sim::UfcPerf perf{sim::UfcConfig::tableII()};
     isa::HwInst inst;
     inst.op = isa::HwOp::Ewma;
     inst.logDegree = 16;
@@ -222,8 +291,8 @@ TEST(ProgramCacheGaps, RepeatOfferEdgeTripCounts)
 
     const auto build = [&](u64 trips,
                            bool &accepted) -> compiler::Program {
-        compiler::Program p;
-        compiler::ProgramBuilder builder(&perf, &p);
+        compiler::LoweredProgram lp;
+        compiler::ProgramBuilder builder(&lp);
         accepted = builder.beginRepeat(trips);
         builder.issue(inst);
         if (accepted)
@@ -232,19 +301,17 @@ TEST(ProgramCacheGaps, RepeatOfferEdgeTripCounts)
             for (u64 t = 1; t < trips; ++t)
                 builder.issue(inst);
         builder.finish();
-        p.workload = "edge";
-        p.machine = "UFC";
-        return p;
+        lp.workload = "edge";
+        return testutil::bindUfc(std::move(lp));
     };
     const auto flat = [&](u64 trips) -> compiler::Program {
-        compiler::Program p;
-        compiler::ProgramBuilder builder(&perf, &p);
+        compiler::LoweredProgram lp;
+        compiler::ProgramBuilder builder(&lp);
         for (u64 t = 0; t < trips; ++t)
             builder.issue(inst);
         builder.finish();
-        p.workload = "edge";
-        p.machine = "UFC";
-        return p;
+        lp.workload = "edge";
+        return testutil::bindUfc(std::move(lp));
     };
 
     const UfcModel model;
@@ -255,13 +322,13 @@ TEST(ProgramCacheGaps, RepeatOfferEdgeTripCounts)
     // emission), so it must equal a single flat instruction.
     compiler::Program p0 = build(0, accepted);
     EXPECT_FALSE(accepted);
-    EXPECT_TRUE(p0.loops.empty());
+    EXPECT_TRUE(p0.lowered->loops.empty());
     EXPECT_EQ(p0.totalInsts(), 1u);
 
     // trips = 1: refused, single emission, no loop row.
     compiler::Program p1 = build(1, accepted);
     EXPECT_FALSE(accepted);
-    EXPECT_TRUE(p1.loops.empty());
+    EXPECT_TRUE(p1.lowered->loops.empty());
     EXPECT_EQ(model.execute(p1).toJson(),
               model.execute(flat(1)).toJson());
 
@@ -270,8 +337,8 @@ TEST(ProgramCacheGaps, RepeatOfferEdgeTripCounts)
     for (const u64 trips : {u64(2), u64(7), u64(100000)}) {
         compiler::Program folded = build(trips, accepted);
         EXPECT_TRUE(accepted) << trips;
-        ASSERT_EQ(folded.loops.size(), 1u) << trips;
-        EXPECT_EQ(folded.loops[0].trips, trips);
+        ASSERT_EQ(folded.lowered->loops.size(), 1u) << trips;
+        EXPECT_EQ(folded.lowered->loops[0].trips, trips);
         EXPECT_EQ(folded.totalInsts(), trips);
         EXPECT_EQ(model.execute(folded).toJson(),
                   model.execute(flat(trips)).toJson())

@@ -6,12 +6,16 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <memory>
+#include <set>
 #include <sstream>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "metrics/metrics.h"
 #include "runner/report.h"
 #include "runner/sweeps.h"
 #include "workloads/workloads.h"
@@ -297,6 +301,79 @@ TEST(RunnerSweeps, PaperSweepsCoverAllFiguresWithUniqueLabels)
     EXPECT_EQ(sweeps[3].jobs.size(), 36u);
     // Figure 14: 4 lane counts x 3 scratchpads x 4 CKKS workloads.
     EXPECT_EQ(sweeps[4].jobs.size(), 48u);
+}
+
+/** Digest over the bit pattern of every raw RunStats field. */
+u64
+statsDigest(const sim::RunStats &s)
+{
+    u64 h = trace::detail::kFnvOffset;
+    const auto mix = [&h](double v) {
+        trace::detail::mix64(h, std::bit_cast<u64>(v));
+    };
+    mix(s.totalCycles);
+    for (double d : s.busyCycles)
+        mix(d);
+    mix(s.hbmBytes);
+    mix(s.hbmBusyCycles);
+    mix(s.spadHitBytes);
+    trace::detail::mix64(h, s.instCount);
+    for (const sim::OpStats &op : s.opStats) {
+        trace::detail::mix64(h, op.count);
+        mix(op.cycles);
+        mix(op.computeCycles);
+        mix(op.stallCycles);
+        mix(op.fillCycles);
+        mix(op.hbmBytes);
+    }
+    mix(s.stalls.hbmBound);
+    mix(s.stalls.dependency);
+    mix(s.stalls.pipelineFill);
+    mix(s.stalls.spadSpillCycles);
+    mix(s.stalls.spadWritebackBytes);
+    trace::detail::mix64(h, s.stalls.spadEvictions);
+    return h;
+}
+
+TEST(RunnerSweeps, SharedLoweringsMatchPrivateCompilesBitExactly)
+{
+    // The paper sweep lowers each (trace, lowering key) pair once: the
+    // fig13/fig14 DSE points and the Table II machines share lowerings
+    // and bind their own costs.  Every shared-lowering result must equal
+    // a private compile() of the same job, bit for bit.
+    const auto jobs = runner::allJobs(runner::paperSweeps());
+    std::set<std::pair<std::string, u64>> keys;
+    for (const Job &job : jobs)
+        keys.insert({job.model->loweringKey(),
+                     trace::contentHash(*job.trace)});
+    EXPECT_EQ(keys.size(), 52u) << "paper sweep lowering keys changed";
+
+    const bool metricsWere = metrics::enabled();
+    metrics::setEnabled(true);
+    const metrics::Counter &lowerings =
+        metrics::counter("ufc_compiler_lowerings_total");
+    const u64 before = lowerings.value();
+    RunnerConfig cfg;
+    cfg.threads = 2;
+    cfg.measureHostTime = false;
+    const auto batch = ExperimentRunner(cfg).runAll(jobs);
+    const u64 performed = lowerings.value() - before;
+    metrics::setEnabled(metricsWere);
+    ASSERT_TRUE(batch.allOk());
+    EXPECT_EQ(performed, keys.size());
+
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const Job &job = jobs[i];
+        RunOptions opts = job.options;
+        opts.label = job.label;
+        const RunResult priv =
+            job.model->execute(job.model->compile(*job.trace), opts);
+        const RunResult &shared = batch.results[i];
+        EXPECT_EQ(shared.toJson(), priv.toJson()) << job.label;
+        EXPECT_EQ(statsDigest(shared.stats), statsDigest(priv.stats))
+            << job.label;
+        expectBitIdentical(shared, priv);
+    }
 }
 
 } // namespace

@@ -174,12 +174,13 @@ TEST(TraceStreaming, ReaderMemoryBoundedByChunkSize)
         << "trace too small to exercise the memory bound";
 
     const sim::UfcModel model;
-    sim::UfcPerf perf(sim::UfcConfig{});
     std::size_t peak = 0;
     std::istringstream is(text);
-    const compiler::Program streamed = compiler::compileTraceStream(
-        is, model.loweringOptions(), perf, model.name(),
-        /*lint=*/nullptr, /*opCheck=*/{}, kChunk, &peak);
+    const compiler::Program streamed =
+        model.bind(std::make_shared<const compiler::LoweredProgram>(
+            compiler::lowerTraceStream(is, model.loweringOptions(),
+                                       /*lint=*/nullptr, /*opCheck=*/{},
+                                       kChunk, &peak)));
     EXPECT_LE(peak, kChunk);
     EXPECT_GT(peak, 0u);
 
