@@ -1,7 +1,8 @@
 /**
  * @file
  * Microbenchmarks for the FHE substrate: CKKS primitives (encode,
- * encrypt, multiply, rotate, rescale, hybrid key switching) and TFHE
+ * encrypt, multiply, rotate at testFast; hybrid key switching and
+ * rescale at testDeep's 12 limbs) and TFHE
  * primitives (external product, blind rotation, gate bootstrap).
  */
 
@@ -81,22 +82,62 @@ BM_CkksMultiplyRelin(benchmark::State &state)
 }
 
 void
-BM_CkksRescale(benchmark::State &state)
-{
-    auto &b = ckksBench();
-    auto prod = b.eval.multiply(b.ctA, b.ctB, b.relin);
-    for (auto _ : state) {
-        auto ct = b.eval.rescale(prod);
-        benchmark::DoNotOptimize(&ct);
-    }
-}
-
-void
 BM_CkksRotate(benchmark::State &state)
 {
     auto &b = ckksBench();
     for (auto _ : state) {
         auto ct = b.eval.rotate(b.ctA, 1, b.rot1);
+        benchmark::DoNotOptimize(&ct);
+    }
+}
+
+/** testDeep (N = 2^13, 12 limbs, 3 special limbs, 4 digits) at the top
+ *  level: the shape of the fhe_ops benchmark's first CKKS step. */
+struct CkksDeepBench
+{
+    CkksDeepBench()
+        : ctx(ckks::CkksParams::testDeep()), rng(43), keygen(&ctx, rng),
+          eval(&ctx), relin(keygen.makeRelinKey())
+    {
+        ct.limbs = ctx.levels();
+        ct.scale = ctx.scale() * ctx.scale();
+        ct.c0 = ctx.makePoly(ctx.levels(), PolyForm::Eval);
+        ct.c1 = ctx.makePoly(ctx.levels(), PolyForm::Eval);
+        ct.c0.sampleUniform(rng);
+        ct.c1.sampleUniform(rng);
+    }
+
+    ckks::CkksContext ctx;
+    Rng rng;
+    ckks::CkksKeyGenerator keygen;
+    ckks::CkksEvaluator eval;
+    ckks::EvalKey relin;
+    ckks::Ciphertext ct;
+};
+
+CkksDeepBench &
+ckksDeepBench()
+{
+    static CkksDeepBench b;
+    return b;
+}
+
+void
+BM_CkksKeySwitch(benchmark::State &state)
+{
+    auto &b = ckksDeepBench();
+    for (auto _ : state) {
+        auto d = b.eval.keySwitch(b.ct.c1, b.relin);
+        benchmark::DoNotOptimize(&d);
+    }
+}
+
+void
+BM_CkksRescale(benchmark::State &state)
+{
+    auto &b = ckksDeepBench();
+    for (auto _ : state) {
+        auto ct = b.eval.rescale(b.ct);
         benchmark::DoNotOptimize(&ct);
     }
 }
@@ -183,8 +224,9 @@ BM_TfheProgrammableBootstrap(benchmark::State &state)
 BENCHMARK(BM_CkksEncode);
 BENCHMARK(BM_CkksEncrypt);
 BENCHMARK(BM_CkksMultiplyRelin);
-BENCHMARK(BM_CkksRescale);
 BENCHMARK(BM_CkksRotate);
+BENCHMARK(BM_CkksKeySwitch);
+BENCHMARK(BM_CkksRescale);
 BENCHMARK(BM_TfheExternalProduct);
 BENCHMARK(BM_TfheGateBootstrap);
 BENCHMARK(BM_TfheProgrammableBootstrap);

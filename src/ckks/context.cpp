@@ -70,11 +70,25 @@ CkksContext::CkksContext(const CkksParams &params)
         }
     }
 
+    std::vector<u64> allPrimes = qChain_;
+    allPrimes.insert(allPrimes.end(), pChain_.begin(), pChain_.end());
+
+    // Key-switching BConv tables: one ModUp converter per digit end limb
+    // and one ModDown converter, so no key switch rebuilds a basis.
+    for (int hi = 1; hi <= params.levels; ++hi) {
+        const int d = (hi - 1) / alpha_;
+        const int lo = d * alpha_;
+        modUp_.emplace_back(
+            std::vector<u64>(qChain_.begin() + lo, qChain_.begin() + hi),
+            allPrimes,
+            std::vector<u64>(qHatInvDigit_[d].begin() + lo,
+                             qHatInvDigit_[d].begin() + hi));
+    }
+    modDown_ = BaseConverter(pChain_, qChain_);
+
     // Warm the shared twiddle cache for the whole modulus chain up
     // front (tables build in parallel), so the first homomorphic op
     // doesn't pay lazy NTT-table construction limb by limb.
-    std::vector<u64> allPrimes = qChain_;
-    allPrimes.insert(allPrimes.end(), pChain_.begin(), pChain_.end());
     parallelFor(allPrimes.size(),
                 [&](std::size_t i) { ring_->table(allPrimes[i]); });
 }

@@ -61,6 +61,21 @@ class CkksContext
     /** Qhat_d = prod of q limbs outside digit d, mod an arbitrary prime. */
     u64 qHatDigitMod(int d, u64 prime) const;
 
+    /**
+     * ModUp BConv of the key-switching digit whose limbs end at `hi`
+     * (exclusive; the digits at any level are the full-level digits cut
+     * off at the level, so the end fixes the source limbs): from that
+     * digit's q limbs, each pre-scaled by [Qhat_d^-1]_{q_i}, to every
+     * modulus of the chain — target g is q_g for g < levels(), else
+     * p_{g - levels()}.
+     */
+    const BaseConverter &modUpConverter(int hi) const
+    {
+        return modUp_[hi - 1];
+    }
+    /** ModDown BConv from the special primes to q_0..q_{levels()-1}. */
+    const BaseConverter &modDownConverter() const { return modDown_; }
+
     /** Fresh zero RnsPoly over q_0..q_{limbs-1}. */
     RnsPoly makePoly(int limbs, PolyForm form) const;
     /** Fresh zero RnsPoly over q-basis plus special primes. */
@@ -76,6 +91,8 @@ class CkksContext
     std::vector<u64> pInvModQ_;
     // qHatInvDigit_[d][i]: [ (Q_full / Qtilde_d)^-1 ] mod q_i (i in digit d).
     std::vector<std::vector<u64>> qHatInvDigit_;
+    std::vector<BaseConverter> modUp_; ///< indexed by digit end limb - 1
+    BaseConverter modDown_;
 };
 
 } // namespace ckks

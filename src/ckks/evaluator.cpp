@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "common/parallel.h"
 
 namespace ufc {
 namespace ckks {
@@ -124,33 +125,43 @@ Ciphertext
 CkksEvaluator::rescale(const Ciphertext &a) const
 {
     UFC_CHECK(a.limbs >= 2, "cannot rescale at the last level");
-    const int limbs = a.limbs;
-    const u64 qLast = ctx_->qAt(limbs - 1);
+    UFC_CHECK(a.c0.form() == PolyForm::Eval && a.c1.form() == PolyForm::Eval,
+              "rescale expects Eval-form components");
+    const int last = a.limbs - 1;
+    const u64 n = ctx_->degree();
+    const RnsPoly *src[] = {&a.c0, &a.c1};
+
+    // c_i' = (c_i - [c_last]_{q_i}) * q_last^-1 mod q_i, with c_i left in
+    // the Eval domain: only the last limb goes to coefficient form, and
+    // its reduction into each q_i is transformed back (the NTT is linear
+    // mod q_i, so the difference can be taken after it).
+    Poly lastCoeff[2];
+    parallelFor(2, [&](size_t c) {
+        lastCoeff[c] = src[c]->limb(last);
+        lastCoeff[c].toCoeff();
+    });
 
     Ciphertext out;
-    out.limbs = limbs - 1;
-    out.scale = a.scale / static_cast<double>(qLast);
-
-    for (RnsPoly Ciphertext::*member : {&Ciphertext::c0, &Ciphertext::c1}) {
-        RnsPoly p = a.*member;
-        p.toCoeff();
-        const Poly &last = p.limb(limbs - 1);
-        RnsPoly r = ctx_->makePoly(limbs - 1, PolyForm::Coeff);
-        for (int i = 0; i < limbs - 1; ++i) {
-            const Modulus qi(ctx_->qAt(i));
-            const u64 inv = ctx_->qLastInvModQ(limbs, i);
-            const u64 invShoup = qi.shoupPrecompute(inv);
-            Poly &dst = r.limb(i);
-            const Poly &src = p.limb(i);
-            for (u64 c = 0; c < src.degree(); ++c) {
-                const u64 diff =
-                    subMod(src[c], last[c] % qi.value(), qi.value());
-                dst[c] = qi.mulShoup(diff, inv, invShoup);
-            }
-        }
-        r.toEval();
-        out.*member = std::move(r);
-    }
+    out.limbs = last;
+    out.scale = a.scale / static_cast<double>(ctx_->qAt(last));
+    out.c0 = ctx_->makePoly(last, PolyForm::Eval);
+    out.c1 = ctx_->makePoly(last, PolyForm::Eval);
+    RnsPoly *dst[] = {&out.c0, &out.c1};
+    parallelFor(2 * static_cast<size_t>(last), [&](size_t task) {
+        const size_t c = task % 2;
+        const size_t i = task / 2;
+        Poly &r = dst[c]->limb(i);
+        const NttTable &table = *r.table();
+        const Modulus &qi = table.modulus();
+        for (u64 k = 0; k < n; ++k)
+            r[k] = qi.reduce(lastCoeff[c][k]);
+        table.forward(r.data());
+        const u64 inv = ctx_->qLastInvModQ(a.limbs, static_cast<int>(i));
+        const u64 invShoup = qi.shoupPrecompute(inv);
+        const Poly &s = src[c]->limb(i);
+        for (u64 k = 0; k < n; ++k)
+            r[k] = qi.mulShoup(qi.sub(s[k], r[k]), inv, invShoup);
+    });
     return out;
 }
 
@@ -170,134 +181,128 @@ std::pair<RnsPoly, RnsPoly>
 CkksEvaluator::keySwitch(const RnsPoly &c, const EvalKey &key) const
 {
     const int limbs = static_cast<int>(c.limbCount());
+    const int L = ctx_->levels();
     const int K = ctx_->specialLimbs();
     const int digits = ctx_->digitsForLimbs(limbs);
     const u64 n = ctx_->degree();
-    const auto qpModuli = ctx_->qpBasis(limbs);
+    UFC_CHECK(static_cast<int>(key.b.size()) >= digits &&
+                  key.b[0].limbCount() == static_cast<size_t>(L + K),
+              "expected a full Q x P evaluation key");
 
-    RnsPoly cCoeff = c;
-    cCoeff.toCoeff();
-
-    RnsPoly acc0(ctx_->ring(), qpModuli, PolyForm::Eval);
-    RnsPoly acc1(ctx_->ring(), qpModuli, PolyForm::Eval);
-
-    for (int d = 0; d < digits; ++d) {
-        const auto [lo, hi] = ctx_->digitRange(d, limbs);
-
-        // Digit extraction: y_i = [c_i * QhatInv_d]_{q_i} for limbs in d.
-        std::vector<std::vector<u64>> y(hi - lo);
-        std::vector<Modulus> srcMods;
-        for (int i = lo; i < hi; ++i) {
-            const Modulus qi(ctx_->qAt(i));
-            srcMods.push_back(qi);
-            const u64 f = ctx_->qHatInvDigit(d, i);
-            const u64 fShoup = qi.shoupPrecompute(f);
-            y[i - lo].resize(n);
-            const Poly &src = cCoeff.limb(i);
-            for (u64 k = 0; k < n; ++k)
-                y[i - lo][k] = qi.mulShoup(src[k], f, fShoup);
-        }
-
-        // ModUp: fast base conversion of the digit to the full Q x P
-        // basis.  BConv(x)_t = sum_i [x_i * dHatInv_i]_{q_i} * dHat_i
-        // where the dHat products are over the digit's own limbs.
-        RnsBasis digitBasis(std::vector<u64>(
-            qpModuli.begin() + lo, qpModuli.begin() + hi));
-        RnsPoly up(ctx_->ring(), qpModuli, PolyForm::Coeff);
-        for (int i = lo; i < hi; ++i) {
-            const Modulus &qi = srcMods[i - lo];
-            const u64 f = digitBasis.qHatInvModQi(i - lo);
-            const u64 fShoup = qi.shoupPrecompute(f);
-            for (u64 k = 0; k < n; ++k)
-                y[i - lo][k] = qi.mulShoup(y[i - lo][k], f, fShoup);
-        }
-        for (size_t t = 0; t < qpModuli.size(); ++t) {
-            const int gt = static_cast<int>(t);
-            if (gt >= lo && gt < hi) {
-                // Target inside the digit: conversion is exact and equals
-                // c_i * QhatInv_d, i.e. undo the inner dHatInv scaling.
-                const Modulus &qi = srcMods[gt - lo];
-                const u64 dHat = digitBasis.qHatModP(gt - lo, qi);
-                const u64 dHatShoup = qi.shoupPrecompute(dHat);
-                Poly &dst = up.limb(t);
-                for (u64 k = 0; k < n; ++k)
-                    dst[k] = qi.mulShoup(y[gt - lo][k], dHat, dHatShoup);
-                continue;
-            }
-            const Modulus pt(qpModuli[t]);
-            Poly &dst = up.limb(t);
-            for (int i = lo; i < hi; ++i) {
-                const u64 hat = digitBasis.qHatModP(i - lo, pt);
-                const u64 hatShoup = pt.shoupPrecompute(hat);
-                const auto &yi = y[i - lo];
-                for (u64 k = 0; k < n; ++k) {
-                    dst[k] = pt.add(
-                        dst[k], pt.mulShoup(yi[k] % pt.value(), hat,
-                                            hatShoup));
-                }
-            }
-        }
-
-        // Inner product with the evaluation key (NTT + EWMM + EWMA).
-        up.toEval();
-        const RnsPoly kb = subPolyQp(ctx_, key.b[d], limbs);
-        const RnsPoly ka = subPolyQp(ctx_, key.a[d], limbs);
-        acc0.fmaEval(up, kb);
-        acc1.fmaEval(up, ka);
+    // ModUp reads the input in both forms: coefficient form to convert
+    // a digit to the limbs outside it, Eval form for the limbs inside.
+    const RnsPoly *cEval = &c;
+    RnsPoly evalCopy;
+    if (c.form() == PolyForm::Coeff) {
+        evalCopy = c;
+        evalCopy.toEval();
+        cEval = &evalCopy;
     }
 
-    (void)K;
-    return {modDown(std::move(acc0), limbs),
-            modDown(std::move(acc1), limbs)};
+    // BConv sources, in place in coefficient form:
+    // y_i = [c_i * Qhat_d^-1 * dHat_i^-1]_{q_i} for i in digit d.
+    RnsPoly sources = c;
+    std::vector<const u64 *> y(limbs);
+    parallelFor(limbs, [&](size_t i) {
+        const int d = static_cast<int>(i) / ctx_->digitSize();
+        const auto [lo, hi] = ctx_->digitRange(d, limbs);
+        Poly &p = sources.limb(i);
+        p.toCoeff();
+        ctx_->modUpConverter(hi).scaleSource(i - lo, p.data().data(),
+                                             p.data().data(), n);
+        y[i] = p.data().data();
+    });
+
+    // Per Q x P limb t: each digit's ModUp limb, transformed (outside
+    // the digit) or read from Eval form (inside), then the inner product
+    // with the key's limbs, summed over the digits before one reduction.
+    RnsPoly acc0(ctx_->ring(), ctx_->qpBasis(limbs), PolyForm::Eval);
+    RnsPoly acc1(ctx_->ring(), ctx_->qpBasis(limbs), PolyForm::Eval);
+    parallelFor(static_cast<size_t>(limbs + K), [&](size_t t) {
+        // Limb t here is limb g of the key and target g of the converters.
+        const int g = static_cast<int>(t) < limbs
+                          ? static_cast<int>(t)
+                          : L + static_cast<int>(t) - limbs;
+        const NttTable &table = *acc0.limb(t).table();
+        const Modulus &m = table.modulus();
+        std::vector<u64> up(static_cast<size_t>(digits) * n);
+        for (int d = 0; d < digits; ++d) {
+            const auto [lo, hi] = ctx_->digitRange(d, limbs);
+            u64 *dst = up.data() + d * n;
+            if (g >= lo && g < hi) {
+                // Inside the digit the conversion is exact: c_t * Qhat_d^-1.
+                const u64 f = ctx_->qHatInvDigit(d, g);
+                const u64 fShoup = m.shoupPrecompute(f);
+                const Poly &src = cEval->limb(t);
+                for (u64 k = 0; k < n; ++k)
+                    dst[k] = m.mulShoup(src[k], f, fShoup);
+            } else {
+                ctx_->modUpConverter(hi).convertTarget(g, &y[lo], dst, n);
+                table.forward(dst);
+            }
+        }
+        // Each product is < q^2 < 2^120, so the digit sum fits in u128.
+        std::vector<const u64 *> kb(digits), ka(digits);
+        for (int d = 0; d < digits; ++d) {
+            kb[d] = key.b[d].limb(g).data().data();
+            ka[d] = key.a[d].limb(g).data().data();
+        }
+        Poly &out0 = acc0.limb(t);
+        Poly &out1 = acc1.limb(t);
+        for (u64 k = 0; k < n; ++k) {
+            u128 s0 = 0, s1 = 0;
+            for (int d = 0; d < digits; ++d) {
+                const u64 u = up[d * n + k];
+                s0 += static_cast<u128>(u) * kb[d][k];
+                s1 += static_cast<u128>(u) * ka[d][k];
+            }
+            out0[k] = m.reduce(s0);
+            out1[k] = m.reduce(s1);
+        }
+    });
+
+    modDown(acc0, acc1, limbs);
+    return {std::move(acc0), std::move(acc1)};
 }
 
-RnsPoly
-CkksEvaluator::modDown(RnsPoly acc, int limbs) const
+void
+CkksEvaluator::modDown(RnsPoly &acc0, RnsPoly &acc1, int limbs) const
 {
     const int K = ctx_->specialLimbs();
     const u64 n = ctx_->degree();
-    acc.toCoeff();
+    const BaseConverter &conv = ctx_->modDownConverter();
+    RnsPoly *acc[] = {&acc0, &acc1};
 
-    // BConv the P part down to the q basis.
-    std::vector<u64> pMods = ctx_->pChain();
-    RnsBasis pBasis(pMods);
-    std::vector<std::vector<u64>> yp(K);
-    for (int j = 0; j < K; ++j) {
-        const Modulus pj(pMods[j]);
-        const u64 f = pBasis.qHatInvModQi(j);
-        const u64 fShoup = pj.shoupPrecompute(f);
-        yp[j].resize(n);
-        const Poly &src = acc.limb(limbs + j);
-        for (u64 k = 0; k < n; ++k)
-            yp[j][k] = pj.mulShoup(src[k], f, fShoup);
-    }
+    // Only the special limbs leave the Eval domain, as BConv sources
+    // y_j = [acc_{p_j} * Phat_j^-1]_{p_j}.
+    std::vector<const u64 *> y(2 * K);
+    parallelFor(2 * static_cast<size_t>(K), [&](size_t task) {
+        const size_t j = task % K;
+        Poly &p = acc[task / K]->limb(limbs + j);
+        p.toCoeff();
+        conv.scaleSource(j, p.data().data(), p.data().data(), n);
+        y[task] = p.data().data();
+    });
 
-    RnsPoly out = ctx_->makePoly(limbs, PolyForm::Coeff);
-    for (int i = 0; i < limbs; ++i) {
-        const Modulus qi(ctx_->qAt(i));
-        Poly &dst = out.limb(i);
-        // conv = BConv_P->qi(acc_P)
-        for (int j = 0; j < K; ++j) {
-            const u64 hat = pBasis.qHatModP(j, qi);
-            const u64 hatShoup = qi.shoupPrecompute(hat);
-            const auto &yj = yp[j];
-            for (u64 k = 0; k < n; ++k) {
-                dst[k] = qi.add(
-                    dst[k],
-                    qi.mulShoup(yj[k] % qi.value(), hat, hatShoup));
-            }
-        }
-        // (acc_q - conv) * P^-1 mod qi
-        const u64 pInv = ctx_->pInvModQ(i);
+    // acc_i <- (acc_i - NTT(BConv_{P->q_i}(y))) * P^-1 mod q_i, in place.
+    parallelFor(2 * static_cast<size_t>(limbs), [&](size_t task) {
+        const size_t c = task % 2;
+        const size_t i = task / 2;
+        Poly &dst = acc[c]->limb(i);
+        const NttTable &table = *dst.table();
+        const Modulus &qi = table.modulus();
+        std::vector<u64> down(n);
+        conv.convertTarget(i, &y[c * K], down.data(), n);
+        table.forward(down);
+        const u64 pInv = ctx_->pInvModQ(static_cast<int>(i));
         const u64 pInvShoup = qi.shoupPrecompute(pInv);
-        const Poly &src = acc.limb(i);
-        for (u64 k = 0; k < n; ++k) {
-            const u64 diff = subMod(src[k], dst[k], qi.value());
-            dst[k] = qi.mulShoup(diff, pInv, pInvShoup);
-        }
+        for (u64 k = 0; k < n; ++k)
+            dst[k] = qi.mulShoup(qi.sub(dst[k], down[k]), pInv, pInvShoup);
+    });
+    for (RnsPoly *a : acc) {
+        for (int j = 0; j < K; ++j)
+            a->dropLastLimb();
     }
-    out.toEval();
-    return out;
 }
 
 Ciphertext

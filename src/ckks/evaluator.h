@@ -57,16 +57,20 @@ class CkksEvaluator
                            const EvalKey &galoisKey) const;
 
     /**
-     * Hybrid key switching core: given a polynomial `c` (Eval form, q
-     * basis) that currently multiplies some source secret, return the pair
-     * (d0, d1) over the q basis such that d0 + d1*s ~ c * s_src.
+     * Hybrid key switching core: given a polynomial `c` (q basis, either
+     * form; ciphertext components arrive in Eval form) that currently
+     * multiplies some source secret, return the Eval-form pair (d0, d1)
+     * over the q basis such that d0 + d1*s ~ c * s_src.  Each limb is
+     * transformed only where ModUp/ModDown need the other form (see
+     * DESIGN.md, "Host key switching and rescale").
      */
     std::pair<RnsPoly, RnsPoly> keySwitch(const RnsPoly &c,
                                           const EvalKey &key) const;
 
   private:
-    /** ModDown: divide a Q x P poly by P, returning a q-basis poly. */
-    RnsPoly modDown(RnsPoly acc, int limbs) const;
+    /** ModDown both key-switching accumulators in place: divide each
+     *  Q x P poly by P, leaving its `limbs` q limbs. */
+    void modDown(RnsPoly &acc0, RnsPoly &acc1, int limbs) const;
 
     const CkksContext *ctx_;
 };

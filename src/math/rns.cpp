@@ -60,24 +60,81 @@ RnsBasis::logQ() const
     return acc;
 }
 
+BaseConverter::BaseConverter(const std::vector<u64> &from,
+                             const std::vector<u64> &to,
+                             const std::vector<u64> &sourceFactors)
+{
+    UFC_CHECK(sourceFactors.empty() || sourceFactors.size() == from.size(),
+              "source factor count mismatch");
+    const RnsBasis basis(from);
+    from_.reserve(from.size());
+    sourceScale_.reserve(from.size());
+    for (size_t j = 0; j < from.size(); ++j) {
+        const Modulus &qj = basis.mod(j);
+        u64 w = basis.qHatInvModQi(j);
+        if (!sourceFactors.empty())
+            w = qj.mul(w, sourceFactors[j]);
+        from_.push_back(qj);
+        sourceScale_.push_back({w, qj.shoupPrecompute(w)});
+    }
+    to_.reserve(to.size());
+    hat_.reserve(to.size() * from.size());
+    for (u64 p : to) {
+        const Modulus pt(p);
+        to_.push_back(pt);
+        for (size_t j = 0; j < from.size(); ++j) {
+            const u64 w = basis.qHatModP(j, pt);
+            hat_.push_back({w, pt.shoupPrecompute(w)});
+        }
+    }
+}
+
+void
+BaseConverter::scaleSource(size_t j, const u64 *x, u64 *y, size_t n) const
+{
+    const Modulus &q = from_[j];
+    const Factor f = sourceScale_[j];
+    for (size_t k = 0; k < n; ++k)
+        y[k] = q.mulShoup(x[k], f.w, f.shoup);
+}
+
+void
+BaseConverter::convertTarget(size_t t, const u64 *const *y, u64 *out,
+                             size_t n) const
+{
+    const Modulus &p = to_[t];
+    const u64 q = p.value();
+    const u64 twoQ = 2 * q;
+    const size_t sources = from_.size();
+    const Factor *hat = hat_.data() + t * sources;
+    // Each lazy product is < 2p and the running sum is held below 2p,
+    // so no partial sum overflows (p < 2^60).
+    for (size_t k = 0; k < n; ++k) {
+        u64 acc = 0;
+        for (size_t j = 0; j < sources; ++j) {
+            acc += p.mulShoupLazy(y[j][k], hat[j].w, hat[j].shoup);
+            if (acc >= twoQ)
+                acc -= twoQ;
+        }
+        out[k] = acc >= q ? acc - q : acc;
+    }
+}
+
 std::vector<u64>
 baseConvert(const std::vector<u64> &residues, const RnsBasis &from,
             const RnsBasis &to)
 {
     UFC_CHECK(residues.size() == from.size(), "residue count mismatch");
-    // y_j = [x_j * qHat_j^-1]_{q_j}
+    const BaseConverter conv(from.values(), to.values());
     std::vector<u64> y(from.size());
-    for (size_t j = 0; j < from.size(); ++j)
-        y[j] = from.mod(j).mul(residues[j], from.qHatInvModQi(j));
-
-    std::vector<u64> out(to.size());
-    for (size_t i = 0; i < to.size(); ++i) {
-        const Modulus &p = to.mod(i);
-        u64 acc = 0;
-        for (size_t j = 0; j < from.size(); ++j)
-            acc = p.add(acc, p.mul(y[j] % p.value(), from.qHatModP(j, p)));
-        out[i] = acc;
+    std::vector<const u64 *> src(from.size());
+    for (size_t j = 0; j < from.size(); ++j) {
+        conv.scaleSource(j, &residues[j], &y[j], 1);
+        src[j] = &y[j];
     }
+    std::vector<u64> out(to.size());
+    for (size_t t = 0; t < to.size(); ++t)
+        conv.convertTarget(t, src.data(), &out[t], 1);
     return out;
 }
 

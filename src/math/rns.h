@@ -49,13 +49,60 @@ class RnsBasis
 };
 
 /**
+ * The fast base conversion (BConv) kernel, with every constant
+ * precomputed:
+ *
+ *   BConv(x)_t = sum_j [x_j * f_j * qHat_j^-1]_{q_j} * qHat_j  (mod p_t)
+ *
+ * from the source basis {q_j} to each target modulus p_t, where f_j is
+ * an optional per-source factor (1 by default; CKKS ModUp folds its
+ * digit's Qhat_d^-1 in here).  This is the standard approximate
+ * conversion: the result may be off by a small multiple of the source
+ * product, which the CKKS noise analysis absorbs.
+ *
+ * The work splits in two halves that callers fan out across threads:
+ * scaleSource() per source limb, then convertTarget() per target limb.
+ * Every product is a Shoup multiplication by a precomputed constant;
+ * Modulus::mulShoupLazy is exact for any 64-bit operand, so source
+ * residues enter a target's MAC unreduced and no step divides.  Outputs
+ * are canonical residues, so every caller's result is bit-identical to
+ * the textbook formula.  RnsPoly::extendBasis and the ModUp/ModDown
+ * halves of CKKS hybrid key switching all run on this one kernel.
+ */
+class BaseConverter
+{
+  public:
+    BaseConverter() = default;
+    BaseConverter(const std::vector<u64> &from, const std::vector<u64> &to,
+                  const std::vector<u64> &sourceFactors = {});
+
+    /** y[k] = [x[k] * f_j * qHat_j^-1]_{q_j} for source limb j (any
+     *  64-bit x[k]); y may alias x. */
+    void scaleSource(size_t j, const u64 *x, u64 *y, size_t n) const;
+
+    /** out[k] = sum_j y[j][k] * qHat_j mod p_t, canonical, over every
+     *  scaled source limb y[j]. */
+    void convertTarget(size_t t, const u64 *const *y, u64 *out,
+                       size_t n) const;
+
+  private:
+    /// A constant with its Shoup companion.
+    struct Factor
+    {
+        u64 w = 0;
+        u64 shoup = 0;
+    };
+
+    std::vector<Modulus> from_;
+    std::vector<Modulus> to_;
+    std::vector<Factor> sourceScale_; ///< per source: f_j * qHat_j^-1
+    std::vector<Factor> hat_;         ///< [t * sources + j]: qHat_j mod p_t
+};
+
+/**
  * Fast base conversion of a single RNS integer (given as residues w.r.t.
- * `from`) into residues w.r.t. the moduli of `to`:
- *
- *   BConv(x) = sum_j [x_j * qHat_j^-1]_{q_j} * qHat_j  (mod p_i)
- *
- * This is the standard approximate conversion (result may be off by a small
- * multiple of Q, which the CKKS noise analysis absorbs).
+ * `from`) into residues w.r.t. the moduli of `to`; BaseConverter on one
+ * coefficient.
  */
 std::vector<u64> baseConvert(const std::vector<u64> &residues,
                              const RnsBasis &from, const RnsBasis &to);

@@ -155,33 +155,22 @@ RnsPoly::extendBasis(const std::vector<u64> &newModuli)
     metrics::ScopedDurationNs timer(h);
     UFC_CHECK(form() == PolyForm::Coeff, "extendBasis requires Coeff form");
     const u64 n = degree();
-    RnsBasis from(moduli());
-    RnsBasis to(newModuli);
+    const BaseConverter conv(moduli(), newModuli);
 
-    std::vector<Poly> extra;
-    extra.reserve(newModuli.size());
-    for (u64 q : newModuli)
-        extra.emplace_back(&ctx_->table(q), PolyForm::Coeff);
-
-    // Base conversion is independent per coefficient; parallelize over
-    // coefficient blocks (blocks write disjoint ranges of every extra
-    // limb, so the result is thread-count invariant).
-    const u64 block = 512;
-    const u64 numBlocks = (n + block - 1) / block;
-    parallelFor(numBlocks, [&](size_t bi) {
-        std::vector<u64> residues(limbs_.size());
-        const u64 lo = bi * block;
-        const u64 hi = lo + block < n ? lo + block : n;
-        for (u64 c = lo; c < hi; ++c) {
-            for (size_t j = 0; j < limbs_.size(); ++j)
-                residues[j] = limbs_[j][c];
-            const std::vector<u64> conv = baseConvert(residues, from, to);
-            for (size_t i = 0; i < extra.size(); ++i)
-                extra[i][c] = conv[i];
-        }
+    // Scale each source limb, then convert each target limb; both halves
+    // write one limb per index, so the result is thread-count invariant.
+    std::vector<std::vector<u64>> y(limbs_.size(), std::vector<u64>(n));
+    std::vector<const u64 *> src(limbs_.size());
+    parallelFor(limbs_.size(), [&](size_t j) {
+        conv.scaleSource(j, limbs_[j].data().data(), y[j].data(), n);
+        src[j] = y[j].data();
     });
-    for (auto &p : extra)
-        limbs_.push_back(std::move(p));
+    const size_t first = limbs_.size();
+    for (u64 q : newModuli)
+        limbs_.emplace_back(&ctx_->table(q), PolyForm::Coeff);
+    parallelFor(newModuli.size(), [&](size_t t) {
+        conv.convertTarget(t, src.data(), limbs_[first + t].data().data(), n);
+    });
 }
 
 void

@@ -80,9 +80,10 @@ class RnsPoly
     void dropLastLimb();
 
     /**
-     * Append limbs for new moduli, each computed by base-converting the
-     * existing limbs — the ModUp half of hybrid key switching.  Requires
-     * coefficient form.
+     * Append limbs for new moduli, each the fast base conversion of the
+     * existing limbs through BaseConverter — the kernel that also runs
+     * the ModUp and ModDown halves of CKKS hybrid key switching
+     * (ckks/evaluator.cpp).  Requires coefficient form.
      */
     void extendBasis(const std::vector<u64> &newModuli);
 

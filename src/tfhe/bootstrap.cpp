@@ -70,22 +70,26 @@ LweCiphertext
 BootstrapContext::keySwitch(const LweCiphertext &ct) const
 {
     UFC_CHECK(ct.dim() == params_.ringDim, "key switch input dimension");
-    const u64 q = params_.q;
+    const Modulus &mod = ringTable_->modulus();
     const Gadget &g = *ksk_.gadget;
 
-    LweCiphertext out = LweCiphertext::trivial(ct.b, params_.lweDim, q);
+    LweCiphertext out =
+        LweCiphertext::trivial(ct.b, params_.lweDim, mod.value());
     std::vector<u64> digits(g.levels());
     for (u32 i = 0; i < params_.ringDim; ++i) {
         if (ct.a[i] == 0)
             continue;
         g.decompose(ct.a[i], digits.data());
         for (int j = 0; j < g.levels(); ++j) {
-            if (digits[j] == 0)
+            const u64 d = digits[j];
+            if (d == 0)
                 continue;
-            // out -= d_{i,j} * ksk[i][j]
-            LweCiphertext term = ksk_.ksk[i][j];
-            term.scaleInPlace(digits[j]);
-            out.subInPlace(term);
+            // out -= d_{i,j} * ksk[i][j], reading the key row in place.
+            const LweCiphertext &row = ksk_.ksk[i][j];
+            const u64 dShoup = mod.shoupPrecompute(d);
+            for (u32 k = 0; k < params_.lweDim; ++k)
+                out.a[k] = mod.sub(out.a[k], mod.mulShoup(row.a[k], d, dShoup));
+            out.b = mod.sub(out.b, mod.mulShoup(row.b, d, dShoup));
         }
     }
     return out;

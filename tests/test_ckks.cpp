@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "ckks/evaluator.h"
+#include "common/parallel.h"
 
 namespace ufc {
 namespace ckks {
@@ -279,6 +280,111 @@ TEST(CkksContext, DigitPartitionCoversAllLimbs)
             covered = hi;
         }
         EXPECT_EQ(covered, limbs);
+    }
+}
+
+/** FNV-1a over the 64-bit words of every limb. */
+u64
+fnv1a(u64 h, const RnsPoly &p)
+{
+    for (size_t i = 0; i < p.limbCount(); ++i) {
+        for (const u64 w : p.limb(i).data()) {
+            h ^= w;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
+
+u64
+fnv1a(u64 h, const Ciphertext &ct)
+{
+    return fnv1a(fnv1a(h, ct.c0), ct.c1);
+}
+
+/** A "ciphertext" with uniform components: bit-identity of the
+ *  evaluator does not need a decryptable input, and uniform residues
+ *  keep floating-point encoding out of the digest. */
+Ciphertext
+uniformCiphertext(const CkksContext &ctx, int limbs, Rng &rng)
+{
+    Ciphertext ct;
+    ct.limbs = limbs;
+    ct.scale = ctx.scale();
+    ct.c0 = ctx.makePoly(limbs, PolyForm::Eval);
+    ct.c1 = ctx.makePoly(limbs, PolyForm::Eval);
+    ct.c0.sampleUniform(rng);
+    ct.c1.sampleUniform(rng);
+    return ct;
+}
+
+struct KernelThreadsGuard
+{
+    ~KernelThreadsGuard() { setKernelThreads(0); }
+};
+
+/**
+ * Pins the key-switching, rescale and rotation outputs bit for bit:
+ * a testDeep chain from 12 limbs down to 1, each level running
+ * multiply+relinearize, rescale, rotations by 1, 2, 5 and 16 and one
+ * conjugation, hashed output by output.  The digest was taken from the
+ * reference implementation (every limb transformed to coefficient form
+ * and back); any rewrite of keySwitch/modDown/rescale must reproduce it
+ * at one kernel thread and on the pool alike.
+ */
+TEST(CkksBitIdentity, DeepChainDigestAcrossThreadCounts)
+{
+    constexpr u64 kDigest = 0xbe9d6965710cf46eULL;
+    constexpr int kRotations[] = {1, 2, 5, 16};
+
+    const CkksContext ctx(CkksParams::testDeep());
+    Rng keyRng(2024);
+    const CkksKeyGenerator keygen(&ctx, keyRng);
+    const EvalKey relin = keygen.makeRelinKey();
+    std::vector<EvalKey> rotKeys;
+    for (const int r : kRotations)
+        rotKeys.push_back(keygen.makeRotationKey(r));
+    const EvalKey conj = keygen.makeConjugationKey();
+    const CkksEvaluator eval(&ctx);
+
+    const auto chainDigest = [&] {
+        Rng rng(7);
+        u64 h = 0xcbf29ce484222325ULL;
+        Ciphertext ct = uniformCiphertext(ctx, ctx.levels(), rng);
+        while (ct.limbs > 1) {
+            const Ciphertext b = uniformCiphertext(ctx, ct.limbs, rng);
+            const Ciphertext m = eval.multiply(ct, b, relin);
+            h = fnv1a(h, m);
+            ct = eval.rescale(m);
+            h = fnv1a(h, ct);
+            for (size_t r = 0; r < rotKeys.size(); ++r) {
+                ct = eval.rotate(ct, kRotations[r], rotKeys[r]);
+                h = fnv1a(h, ct);
+            }
+            ct = eval.conjugate(ct, conj);
+            h = fnv1a(h, ct);
+        }
+        return h;
+    };
+
+    const KernelThreadsGuard guard;
+    setKernelThreads(1);
+    EXPECT_EQ(chainDigest(), kDigest);
+    setKernelThreads(0);
+    EXPECT_EQ(chainDigest(), kDigest);
+
+    // Key switching reads its input in either form: a full level and
+    // one whose last digit is partial (testDeep has 3-limb digits).
+    Rng rng(11);
+    for (const int limbs : {ctx.levels(), 7}) {
+        RnsPoly eval1 = ctx.makePoly(limbs, PolyForm::Eval);
+        eval1.sampleUniform(rng);
+        RnsPoly coeff = eval1;
+        coeff.toCoeff();
+        const auto [e0, e1] = eval.keySwitch(eval1, relin);
+        const auto [c0, c1] = eval.keySwitch(coeff, relin);
+        EXPECT_EQ(fnv1a(fnv1a(0, e0), e1), fnv1a(fnv1a(0, c0), c1))
+            << "at " << limbs << " limbs";
     }
 }
 

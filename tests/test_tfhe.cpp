@@ -193,6 +193,31 @@ TEST_F(BootstrapFixture, KeySwitchPreservesMessage)
     }
 }
 
+TEST_F(BootstrapFixture, KeySwitchOutputIsPinned)
+{
+    // FNV-1a digest of key-switched uniform inputs, taken from the
+    // reference implementation (each key row copied, scaled by a 128-bit
+    // remainder and subtracted); any rewrite must keep every bit.
+    constexpr u64 kDigest = 0xa3bc5b750bfb13d1ULL;
+    Rng inputs(5);
+    u64 h = 0xcbf29ce484222325ULL;
+    for (int rep = 0; rep < 16; ++rep) {
+        LweCiphertext big = LweCiphertext::trivial(0, params.ringDim,
+                                                   params.q);
+        for (u64 &x : big.a)
+            x = inputs.uniform(params.q);
+        big.b = inputs.uniform(params.q);
+        const LweCiphertext small = bc.keySwitch(big);
+        for (const u64 w : small.a) {
+            h ^= w;
+            h *= 0x100000001b3ULL;
+        }
+        h ^= small.b;
+        h *= 0x100000001b3ULL;
+    }
+    EXPECT_EQ(h, kDigest);
+}
+
 TEST_F(BootstrapFixture, ProgrammableBootstrapEvaluatesLut)
 {
     const u64 t = 8;
