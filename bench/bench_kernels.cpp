@@ -9,7 +9,8 @@
  * reports per-op wall time.  Results can be exported in the standard
  * ufc.report/v1 envelope (--json / --csv), with one run entry per
  * kernel variant: `seconds` is the mean per-operation time and
- * `host_seconds` the total measured wall-clock for that variant.
+ * `host_seconds` the total measured wall-clock for that variant.  The
+ * JSON envelope's `host` object records the machine the times are from.
  *
  * Usage: bench_kernels [--threads N] [--serial] [--json PATH] [--csv PATH]
  */
@@ -274,6 +275,7 @@ main(int argc, char **argv)
         meta.generator = "ufc-bench/bench_kernels";
         meta.threads = kernelThreads();
         meta.wallSeconds = wall;
+        meta.hostJson = bench::hostJson();
         const auto results = suite.results();
         if (!cli.jsonPath.empty())
             runner::saveJsonReport(results, cli.jsonPath, meta);

@@ -17,13 +17,51 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
 
+#include "common/json.h"
+#include "math/ntt.h"
 #include "runner/report.h"
 #include "runner/sweeps.h"
 
+#ifndef UFC_BUILD_TYPE
+#define UFC_BUILD_TYPE "unknown"
+#endif
+
 namespace ufc {
 namespace bench {
+
+/// First "model name" line of /proc/cpuinfo ("unknown" elsewhere).
+inline std::string
+cpuModel()
+{
+    std::ifstream is("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(is, line)) {
+        if (line.rfind("model name", 0) == 0) {
+            const auto colon = line.find(':');
+            if (colon != std::string::npos)
+                return line.substr(line.find_first_not_of(' ', colon + 1));
+        }
+    }
+    return "unknown";
+}
+
+/** The host a committed timing was taken on, as one JSON object: CPU
+ *  model, hardware threads, AVX-512 IFMA, build type.  Timings compare
+ *  only between records with the same host. */
+inline std::string
+hostJson()
+{
+    return std::string("{\"cpu\": ") + json::quote(cpuModel()) +
+           ", \"nproc\": " +
+           std::to_string(std::thread::hardware_concurrency()) +
+           ", \"avx512_ifma\": " +
+           (detail::avx512IfmaAvailable() ? "true" : "false") +
+           ", \"build_type\": " + json::quote(UFC_BUILD_TYPE) + "}";
+}
 
 inline void
 header(const std::string &title, const std::string &paperRef)

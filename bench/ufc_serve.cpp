@@ -8,6 +8,12 @@
  * successes and failures alike) plus optional Prometheus metrics are
  * flushed, and the exit status is 0.
  *
+ * Lowerings and finished results stay warm in one ProgramCache across
+ * requests: a request identical to an earlier successful one (same
+ * machine, trace, prefetch window, maxCycles and verbosity) is answered
+ * from the result memo without simulating again.  `--program-cache`
+ * bounds both; health's `phase_hits`/`phase_misses` count memo lookups.
+ *
  *   ./build/bench/ufc_serve --socket /tmp/ufc.sock
  *   ./build/bench/ufc_serve --socket /tmp/ufc.sock --workers 4 \
  *       --queue 128 --report serve_report.json --metrics-out serve.prom
@@ -59,9 +65,8 @@ usage(const char *argv0)
         "  --tenant-rate R   token refill per second (default 32)\n"
         "  --lint            lint pre-flight on jobs by default (shed\n"
         "                    under load, tier >= 1)\n"
-        "  --no-phase-cache  do not share a phase cache across requests\n"
-        "  --program-cache N bound on the compiled-program cache\n"
-        "                    (default 256 entries)\n"
+        "  --program-cache N bound on the cached lowerings and on the\n"
+        "                    result memo (default 256 entries each)\n"
         "  --retention N     terminal results retained for queries and\n"
         "                    the final report (default 8192)\n"
         "  --report PATH     final ufc.report/v2 envelope on drain\n"
@@ -115,8 +120,6 @@ try {
             cfg.tenantRatePerSec = std::atof(value());
         else if (arg == "--lint")
             cfg.lintPreflight = true;
-        else if (arg == "--no-phase-cache")
-            cfg.usePhaseCache = false;
         else if (arg == "--program-cache")
             cfg.programCacheMaxEntries =
                 static_cast<std::size_t>(std::atoll(value()));

@@ -84,17 +84,6 @@ resetPeakLivePrograms()
                             std::memory_order_relaxed);
 }
 
-u64
-phaseCacheKeyBase(u64 segContentHash, int prefetchWindow, u64 maxCycles)
-{
-    u64 h = trace::detail::kFnvOffset;
-    trace::detail::mix64(h, segContentHash);
-    trace::detail::mix64(
-        h, static_cast<u64>(static_cast<i64>(prefetchWindow)));
-    trace::detail::mix64(h, maxCycles);
-    return h;
-}
-
 const char *
 fuseKindName(FuseKind kind)
 {
@@ -321,101 +310,6 @@ ProgramBuilder::endRepeat()
     out_->loops.push_back(lp); // emission order keeps `loops` sorted
 }
 
-/**
- * Digest of everything that determines how code[begin, end) executes on
- * this Program's machine: the bound cost row of each instruction, the
- * packed flag fields, Mem operand records (slot/bytes/flags — buffer ids
- * are diagnostics only and deliberately excluded), and the loop rows
- * inside the segment with `end` re-based to the segment so position in
- * the program does not matter.  Doubles are hashed by bit pattern;
- * BcInst and BcCost are never hashed as raw memory (they have padding).
- */
-u64
-segmentContentHash(const Program &p, u64 begin, u64 end)
-{
-    using trace::detail::mix64;
-    const auto bits = [](double v) { return std::bit_cast<u64>(v); };
-    const LoweredProgram &lp = *p.lowered;
-    u64 h = trace::detail::kFnvOffset;
-    mix64(h, bits(p.hbmBytesPerCycle));
-    mix64(h, bits(p.scratchpadBytes));
-    mix64(h, bits(p.fillCycles));
-    mix64(h, static_cast<u64>(lp.spadSlots));
-    mix64(h, end - begin);
-    for (u64 i = begin; i < end; ++i) {
-        const BcInst &b = lp.code[static_cast<size_t>(i)];
-        const BcCost &c = p.cost[b.shape];
-        // Fold the instruction's fields into one word with position-
-        // distinguishing rotations, then apply a single strong mix:
-        // this runs for every instruction of every phase region, and
-        // per-field mixing tripled the cost.
-        u64 acc = bits(c.computeCycles);
-        acc = std::rotl(acc, 9) ^ bits(c.busyLaneCycles);
-        acc = std::rotl(acc, 9) ^ bits(c.nocCycles);
-        acc = std::rotl(acc, 9) ^ bits(c.staticFetchBytes);
-        acc = std::rotl(acc, 9) ^ bits(c.staticMemCycles);
-        acc = std::rotl(acc, 9) ^ ((static_cast<u64>(b.runLen) << 24) |
-                                   (static_cast<u64>(c.op) << 16) |
-                                   (static_cast<u64>(c.resource) << 8) |
-                                   (static_cast<u64>(b.kind) << 4) |
-                                   static_cast<u64>(b.fuse));
-        mix64(h, acc);
-        if (b.kind == BcKind::Mem) {
-            mix64(h, static_cast<u64>(b.bufCount));
-            for (u16 k = 0; k < b.bufCount; ++k) {
-                const BcBuf &buf =
-                    lp.bufs[b.bufBegin + static_cast<u32>(k)];
-                u64 ba = bits(buf.bytes);
-                ba = std::rotl(ba, 9) ^ static_cast<u64>(buf.slot);
-                ba = std::rotl(ba, 9) ^ ((buf.write ? 2u : 0u) |
-                                         (buf.streamed ? 1u : 0u));
-                mix64(h, ba);
-            }
-        }
-    }
-    for (const BcLoop &loop : lp.loops) {
-        const u64 start = loop.end - loop.bodyLen;
-        // Loops never straddle phase markers (bc-loop-invariant), so a
-        // loop is either fully inside the segment or fully outside.
-        if (start >= begin && loop.end <= end) {
-            mix64(h, loop.end - begin);
-            mix64(h, static_cast<u64>(loop.bodyLen));
-            mix64(h, loop.trips);
-        }
-    }
-    return h;
-}
-
-namespace {
-
-/** Record the top-level phase regions worth memoizing (PhaseSegment).
- *  Bounds only — content digests are computed on demand by the engine
- *  (segmentContentHash), so compiling never pays for hashing. */
-void
-computeSegments(LoweredProgram &p)
-{
-    int depth = 0;
-    u64 openInst = 0;
-    i32 openName = PhaseEvent::kEnd;
-    for (const auto &ev : p.phaseEvents) {
-        if (ev.name == PhaseEvent::kEnd) {
-            if (depth > 0 && --depth == 0 && ev.inst > openInst &&
-                ev.inst - openInst >= kMinSegmentInsts) {
-                p.segments.push_back(
-                    PhaseSegment{openInst, ev.inst, openName});
-            }
-        } else {
-            if (depth == 0) {
-                openInst = ev.inst;
-                openName = ev.name;
-            }
-            ++depth;
-        }
-    }
-}
-
-} // namespace
-
 void
 ProgramBuilder::finish()
 {
@@ -424,7 +318,6 @@ ProgramBuilder::finish()
     finished_ = true;
     out_->spadSlots = static_cast<u32>(slots_.size());
     fuse();
-    computeSegments(*out_);
 }
 
 namespace {
@@ -930,32 +823,6 @@ disassemble(const Program &program, std::ostream &os)
        << " fused_runs=" << lp.fusedRuns << " fused_insts="
        << lp.fusedInsts << " loops=" << lp.loops.size() << " executed="
        << program.totalInsts() << "\n";
-    if (!lp.segments.empty()) {
-        // Phase-cache debuggability: the content digest of each
-        // memoizable region plus the cache-key base at the default run
-        // parameters (prefetchWindow=kDefaultPrefetchWindow, no
-        // maxCycles watchdog); the engine folds its entry state on top.
-        os << "  segments=" << lp.segments.size()
-           << " (phase cache; key base at window="
-           << sim::CycleEngine::kDefaultPrefetchWindow
-           << " maxCycles=0)\n";
-        for (size_t s = 0; s < lp.segments.size(); ++s) {
-            const PhaseSegment &seg = lp.segments[s];
-            const char *name =
-                seg.name >= 0
-                    ? lp.phaseNames[static_cast<size_t>(seg.name)].c_str()
-                    : "?";
-            const u64 digest =
-                segmentContentHash(program, seg.begin, seg.end);
-            os << "    seg#" << s << " phase=" << name << " ["
-               << seg.begin << ", " << seg.end << ") phase_hash="
-               << std::hex << std::showbase << digest << " cache_key="
-               << phaseCacheKeyBase(
-                      digest, sim::CycleEngine::kDefaultPrefetchWindow,
-                      0)
-               << std::dec << std::noshowbase << "\n";
-        }
-    }
     // The shape table: what each shape id below costs on this machine.
     for (size_t k = 0; k < lp.shapes.size(); ++k) {
         const BcShape &sh = lp.shapes[k];

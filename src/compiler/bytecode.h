@@ -192,29 +192,6 @@ struct BcLoop
 };
 
 /**
- * A memoizable phase region: instructions [begin, end) of the code form
- * one top-level phase whose boundaries never sit inside a fused run or a
- * folded loop (fusion and folding both break at phase markers).  Only
- * regions of at least kMinSegmentInsts instructions are recorded,
- * bounding the per-segment snapshot overhead to a small fraction of the
- * execution they can save.  Sorted by begin; disjoint.
- *
- * Segments carry no content digest: the digest depends on the bound
- * machine, and hashing every region on every compile taxed runs that
- * never arm a phase cache.  The engine (and the disassembler) compute
- * segmentContentHash() on demand instead.
- */
-struct PhaseSegment
-{
-    u64 begin = 0; ///< first instruction of the region
-    u64 end = 0;   ///< one past the last instruction
-    i32 name = -1; ///< LoweredProgram::phaseNames index of the region
-};
-
-/** Smallest phase region worth memoizing (see PhaseSegment). */
-inline constexpr u64 kMinSegmentInsts = 512;
-
-/**
  * A lowered trace: everything about a compiled Program that does not
  * depend on the machine.  Immutable once built and shared through
  * shared_ptr<const LoweredProgram> by every Program bound to it.
@@ -235,7 +212,6 @@ struct LoweredProgram
     std::vector<BcLoop> loops;   ///< folded repeats, sorted by end
     std::vector<PhaseEvent> phaseEvents;
     std::vector<std::string> phaseNames; ///< owned; outlives the trace
-    std::vector<PhaseSegment> segments;  ///< memoizable phase regions
 
     // Composed-machine decomposition (see struct docs).
     std::vector<std::shared_ptr<const LoweredProgram>> parts;
@@ -248,28 +224,6 @@ struct LoweredProgram
 };
 
 struct Program;
-
-/**
- * FNV-1a digest of everything that determines how code[begin, end)
- * executes on this Program's machine — the bound cost row of every
- * instruction, the packed flag fields, operand records (slot/bytes/flags;
- * buffer ids are diagnostics and excluded), loop rows relative to the
- * segment, and the machine constants — so equal hashes mean replaying
- * one region's exit state for the other is exact *provided the engine
- * entry states also match*; the phase cache (sim/phase_cache.h) keys on
- * both.  Computed lazily: the engine hashes a Program's segments once
- * per run, and only when a cache is armed.
- */
-u64 segmentContentHash(const Program &p, u64 begin, u64 end);
-
-/**
- * First component of a phase-cache key: the segment content digest
- * combined with the run parameters that change execution (prefetch
- * window, maxCycles watchdog).  The engine folds its entry state on top
- * of this; the disassembler prints it so cache behaviour is debuggable.
- */
-u64 phaseCacheKeyBase(u64 segContentHash, int prefetchWindow,
-                      u64 maxCycles);
 
 namespace detail {
 

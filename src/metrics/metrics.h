@@ -9,10 +9,11 @@
  * pressure, watchdog activity, and per-call kernel durations — the
  * signals a long-lived simulation service needs for admission control
  * and monitoring.  The instrumented layers are the runner job lifecycle,
- * runner::ProgramCache, sim::PhaseCache, trace::TraceReader, the shared
- * ThreadPool, the engine watchdog poll/trip points, and the NTT, CG-NTT
- * and RNS polynomial kernels (`ufc_ntt_*_ns`, `ufc_cg_ntt_*_ns`,
- * `ufc_rns_*_ns` duration histograms).
+ * runner::ProgramCache (lowerings and the result memo),
+ * trace::TraceReader, the shared ThreadPool, the engine watchdog
+ * poll/trip points, and the NTT, CG-NTT and RNS polynomial kernels
+ * (`ufc_ntt_*_ns`, `ufc_cg_ntt_*_ns`, `ufc_rns_*_ns` duration
+ * histograms).
  *
  * ## Contract
  *

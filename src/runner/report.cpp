@@ -56,6 +56,8 @@ writeEnvelopeHead(std::ostream &os, const char *schema,
     // Only written when set, so pre-existing reports stay byte-stable.
     if (meta.interrupted)
         os << ",\"interrupted\":true";
+    if (!meta.hostJson.empty())
+        os << ",\"host\":" << meta.hostJson;
 }
 
 } // namespace

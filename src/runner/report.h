@@ -44,6 +44,9 @@ struct ReportMeta
     /// "skipped"; when false the envelope is byte-identical to one
     /// written before this field existed.
     bool interrupted = false;
+    /// Host fingerprint as one JSON object (the bench binaries fill
+    /// it); written as "host" only when set.
+    std::string hostJson;
 };
 
 /** Write the JSON report document. */

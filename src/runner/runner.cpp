@@ -93,6 +93,14 @@ struct ProgramCacheMetrics
     metrics::Gauge &entries = metrics::gauge(
         "ufc_program_cache_entries",
         "Entries in the most recently touched program cache");
+    // The result memo keeps the series names of the per-phase cache it
+    // replaced, so dashboards and clients read on unchanged.
+    metrics::Counter &resultHits = metrics::counter(
+        "ufc_phase_cache_hits_total",
+        "Result-memo lookups served a stored whole-run result");
+    metrics::Counter &resultMisses = metrics::counter(
+        "ufc_phase_cache_misses_total",
+        "Result-memo lookups that found no stored result");
 };
 
 ProgramCacheMetrics &
@@ -100,22 +108,6 @@ programCacheMetrics()
 {
     static ProgramCacheMetrics *m = new ProgramCacheMetrics();
     return *m;
-}
-
-/// Console flag for the --progress line: what the batch phase cache did
-/// for this job.
-const char *
-cacheFlag(const RunnerConfig &cfg, const sim::RunResult &r)
-{
-    if (!cfg.phaseCache)
-        return "off";
-    if (r.phaseCacheHits > 0 && r.phaseCacheMisses > 0)
-        return "mixed";
-    if (r.phaseCacheHits > 0)
-        return "hit";
-    if (r.phaseCacheMisses > 0)
-        return "miss";
-    return "none"; // cache armed but no segment boundary crossed
 }
 
 } // namespace
@@ -215,6 +207,56 @@ ProgramCache::lookup(const Key &key, const std::string &workload,
         }
     }
     return lowering.get();
+}
+
+ProgramCache::ResultKey
+ProgramCache::resultKey(const sim::AcceleratorModel &model,
+                        const compiler::Program &program,
+                        const sim::RunOptions &opts)
+{
+    return ResultKey{reinterpret_cast<std::uintptr_t>(&model),
+                     program.traceHash, opts.prefetchWindow,
+                     opts.maxCycles, opts.verbosity};
+}
+
+std::optional<sim::RunResult>
+ProgramCache::findResult(const sim::AcceleratorModel &model,
+                         const compiler::Program &program,
+                         const sim::RunOptions &opts)
+{
+    std::optional<sim::RunResult> found;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        const auto it = results_.find(resultKey(model, program, opts));
+        if (it != results_.end())
+            found = it->second;
+    }
+    (found ? resultHits_ : resultMisses_)
+        .fetch_add(1, std::memory_order_relaxed);
+    if (metrics::enabled()) {
+        ProgramCacheMetrics &m = programCacheMetrics();
+        (found ? m.resultHits : m.resultMisses).inc();
+    }
+    return found;
+}
+
+void
+ProgramCache::storeResult(const sim::AcceleratorModel &model,
+                          const compiler::Program &program,
+                          const sim::RunOptions &opts,
+                          const sim::RunResult &result)
+{
+    const ResultKey key = resultKey(model, program, opts);
+    std::lock_guard<std::mutex> lock(mu_);
+    // First store wins: a racing run of the same key computed the same
+    // result.
+    if (!results_.emplace(key, result).second)
+        return;
+    resultOrder_.push_back(key);
+    while (maxEntries_ > 0 && results_.size() > maxEntries_) {
+        results_.erase(resultOrder_.front());
+        resultOrder_.pop_front();
+    }
 }
 
 const char *
@@ -363,12 +405,6 @@ ExperimentRunner::runOne(const Job &job, std::size_t index,
             sim::RunOptions opts = job.options;
             if (opts.label.empty())
                 opts.label = label;
-            // The batch-shared phase cache applies to bytecode execution
-            // only; the IR interpreter has no segment table.  (A job
-            // deadline still disables it inside the engine.)
-            if (cfg_.phaseCache &&
-                opts.execMode == sim::ExecMode::Bytecode)
-                opts.phaseCache = cfg_.phaseCache;
             if (cfg_.jobTimeoutSeconds > 0.0)
                 opts.hostDeadline =
                     std::chrono::steady_clock::now() +
@@ -412,7 +448,20 @@ ExperimentRunner::runOne(const Job &job, std::size_t index,
                 analysis::CostBounds bounds;
                 if (job.options.boundsCheck)
                     bounds = analysis::analyzeCostBounds(program);
-                result = job.model->execute(program, opts);
+                // An identical earlier run's result, relabelled for this
+                // job; timeline runs must record their slices, so they
+                // always execute.
+                const bool memo = cache != nullptr && !opts.timeline;
+                std::optional<sim::RunResult> memoized;
+                if (memo)
+                    memoized = cache->findResult(*job.model, program, opts);
+                outcome.memo = !memo ? "off" : memoized ? "hit" : "miss";
+                if (memoized) {
+                    result = std::move(*memoized);
+                    result.label = opts.label;
+                } else {
+                    result = job.model->execute(program, opts);
+                }
                 if (job.options.boundsCheck) {
                     outcome.boundsChecked = true;
                     outcome.cyclesLower = bounds.cyclesLower;
@@ -436,6 +485,8 @@ ExperimentRunner::runOne(const Job &job, std::size_t index,
                                    << " outside [" << bounds.hbmLower
                                    << ", " << bounds.hbmUpper << "]");
                 }
+                if (memo && !memoized)
+                    cache->storeResult(*job.model, program, opts, result);
             } else {
                 result = job.model->run(*tr, opts);
             }
@@ -616,7 +667,7 @@ ExperimentRunner::runAll(const std::vector<Job> &jobs) const
                              done, jobs.size(), r.label.c_str(),
                              jobStatusName(oc.status),
                              r.machine.c_str(), r.workload.c_str(),
-                             wallMs, cacheFlag(cfg_, r));
+                             wallMs, oc.memo);
             } else {
                 std::fprintf(stderr,
                              "[%zu/%zu] %s status=%s attempts=%d "

@@ -24,10 +24,14 @@
 #define UFC_RUNNER_RUNNER_H
 
 #include <atomic>
+#include <compare>
+#include <cstdint>
 #include <deque>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -57,6 +61,17 @@ namespace runner {
  *
  * Models with an empty loweringKey() (models outside the library that
  * do not split compile()) bypass the cache: get() returns compile(tr).
+ *
+ * Result memo: the simulation is deterministic, so one (model instance,
+ * trace, prefetch window, maxCycles, verbosity) always gives the same
+ * RunResult.  The runner stores each successful run under that key
+ * (storeResult) and serves an identical later request a copy
+ * (findResult) instead of executing it again.  Runs that record a
+ * timeline skip the memo.  The first store of a key wins, and
+ * `maxEntries` bounds the memo FIFO like the lowerings.
+ *
+ * Lifetime: every model passed to get() or the memo must outlive the
+ * cache, since memo keys hold model addresses.
  */
 class ProgramCache
 {
@@ -100,6 +115,31 @@ class ProgramCache
         return evictions_.load(std::memory_order_relaxed);
     }
 
+    /** The memoized result of running `program` on `model` under
+     *  `opts`, if an identical run was stored; counts a hit or a miss.
+     *  The copy keeps the stored run's label. */
+    std::optional<sim::RunResult>
+    findResult(const sim::AcceleratorModel &model,
+               const compiler::Program &program,
+               const sim::RunOptions &opts);
+    /** Memoize a successful run of `program` on `model` under `opts`. */
+    void storeResult(const sim::AcceleratorModel &model,
+                     const compiler::Program &program,
+                     const sim::RunOptions &opts,
+                     const sim::RunResult &result);
+
+    /** Result-memo lookups that hit / missed. */
+    u64
+    resultHits() const
+    {
+        return resultHits_.load(std::memory_order_relaxed);
+    }
+    u64
+    resultMisses() const
+    {
+        return resultMisses_.load(std::memory_order_relaxed);
+    }
+
   private:
     struct Key
     {
@@ -135,6 +175,22 @@ class ProgramCache
     lookup(const Key &key, const std::string &workload,
            const compiler::LowerFn &lower);
 
+    /// Everything a finished RunResult depends on besides the Program's
+    /// machine, which the model instance fixes.
+    struct ResultKey
+    {
+        std::uintptr_t model; ///< the model instance's address
+        u64 traceHash;
+        int prefetchWindow;
+        u64 maxCycles;
+        sim::StatsVerbosity verbosity;
+
+        auto operator<=>(const ResultKey &o) const = default;
+    };
+    static ResultKey resultKey(const sim::AcceleratorModel &model,
+                               const compiler::Program &program,
+                               const sim::RunOptions &opts);
+
     const std::size_t maxEntries_;
     std::mutex mu_;
     std::unordered_map<Key, Entry, KeyHash> entries_;
@@ -144,6 +200,11 @@ class ProgramCache
     std::atomic<u64> hits_{0};
     std::atomic<u64> lowerings_{0};
     std::atomic<u64> evictions_{0};
+
+    std::map<ResultKey, sim::RunResult> results_;
+    std::deque<ResultKey> resultOrder_; ///< insertion order, FIFO bound
+    std::atomic<u64> resultHits_{0};
+    std::atomic<u64> resultMisses_{0};
 };
 
 /**
@@ -177,10 +238,10 @@ struct RunnerConfig
     /// Fill RunResult::hostSeconds with per-job wall-clock.
     bool measureHostTime = true;
     /// Emit one machine-readable status line to stderr as each job
-    /// finishes ("[jobs_done/jobs_total] <label> status=... ...").
-    /// Lines are serialized under a mutex so concurrent completions
-    /// cannot interleave characters.  Progress output never affects
-    /// results (stderr only, completion order).
+    /// finishes ("[jobs_done/jobs_total] <label> status=... ...
+    /// cache=<JobOutcome::memo>").  Lines are serialized under a mutex
+    /// so concurrent completions cannot interleave characters.  Progress
+    /// output never affects results (stderr only, completion order).
     bool progress = false;
     /// Extra attempts after a failed one (not applied to timeouts — a
     /// hung job would hang again).  0 = fail on the first error.
@@ -206,15 +267,9 @@ struct RunnerConfig
     /// top of every job attempt; an injected fault follows the normal
     /// failure/retry path.  Not owned.
     const FaultInjector *faults = nullptr;
-    /// Optional caller-owned phase-result cache (sim/phase_cache.h)
-    /// shared by every bytecode job in the batch — content-identical
-    /// phases entered in the same engine state replay instead of
-    /// re-simulating, bit-identically.  The caller reads hit/miss
-    /// counters off the cache after the batch.  IR-mode jobs ignore it.
-    sim::PhaseCache *phaseCache = nullptr;
-    /// Bound on the batch-scoped ProgramCache (0 = unbounded).  Bounded
-    /// caches evict FIFO; an evicted lowering is lowered again on its
-    /// next use.  Results are identical either way — lowering is
+    /// Bound on the batch-scoped ProgramCache's lowerings and memoized
+    /// results, each (0 = unbounded).  Bounded caches evict FIFO; an
+    /// evicted lowering is lowered again on its next use.  Results are identical either way — lowering is
     /// deterministic — only host time and peak memory change.
     std::size_t programCacheMaxEntries = 0;
 };
@@ -262,6 +317,10 @@ struct JobOutcome
     double cyclesUpper = 0.0; ///< guaranteed max total cycles
     double hbmLower = 0.0;    ///< guaranteed min HBM bytes
     double hbmUpper = 0.0;    ///< guaranteed max HBM bytes
+    /// What the ProgramCache result memo did for the last attempt:
+    /// "hit", "miss", or "off" (no cache, or a run the memo skips).
+    /// Host-side only, like the bounds above.
+    const char *memo = "off";
 
     /// Did the job produce a valid result?
     bool

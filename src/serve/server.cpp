@@ -846,10 +846,11 @@ Server::handleHealth()
                                        programCache_.lowerings())));
     caches.set("program_evictions", JsonValue::makeInt(static_cast<i64>(
                                         programCache_.evictions())));
+    // phase_* keep their names but count result-memo lookups.
     caches.set("phase_hits", JsonValue::makeInt(static_cast<i64>(
-                                 phaseCache_.hits())));
+                                 programCache_.resultHits())));
     caches.set("phase_misses", JsonValue::makeInt(static_cast<i64>(
-                                   phaseCache_.misses())));
+                                   programCache_.resultMisses())));
     resp.set("caches", std::move(caches));
     return resp;
 }
@@ -992,7 +993,6 @@ Server::executeJob(const std::shared_ptr<JobRecord> &rec)
             runner::RunnerConfig rc;
             rc.maxRetries = rec->retries;
             rc.retryBackoff = cfg_.retryBackoff;
-            rc.phaseCache = cfg_.usePhaseCache ? &phaseCache_ : nullptr;
             const runner::ExperimentRunner jobRunner(rc);
             jobRunner.runJob(job, static_cast<std::size_t>(rec->seq),
                              result, outcome, &programCache_);

@@ -7,9 +7,9 @@
  * local AF_UNIX socket (length-prefixed JSON frames, serve/protocol.h),
  * executes them through the runner's per-job isolation machinery
  * (ExperimentRunner::runJob) on a fixed set of worker threads, and
- * keeps the compile/phase/twiddle caches warm across requests — the
- * paper's 130-job sweep becomes steady-state traffic instead of a
- * cold-start CLI invocation per batch.
+ * keeps the lowering, result-memo and twiddle caches warm across
+ * requests — the paper's 130-job sweep becomes steady-state traffic
+ * instead of a cold-start CLI invocation per batch.
  *
  * ## The service envelope
  *
@@ -68,7 +68,6 @@
 #include "runner/runner.h"
 #include "serve/json.h"
 #include "serve/protocol.h"
-#include "sim/phase_cache.h"
 
 namespace ufc {
 namespace serve {
@@ -103,9 +102,8 @@ struct ServeConfig
     double shedCompileAt = 0.75;
     /// Run the lint pre-flight on admitted jobs below tier 1.
     bool lintPreflight = false;
-    /// Share a phase-result cache across requests.
-    bool usePhaseCache = true;
-    /// Bound on the persistent ProgramCache (0 = unbounded).
+    /// Bound on the persistent ProgramCache's lowerings and memoized
+    /// results, each (0 = unbounded).
     std::size_t programCacheMaxEntries = 256;
     /// Terminal job records retained for `result` queries and the final
     /// report; older ones are expired FIFO so a week of traffic cannot
@@ -210,7 +208,6 @@ class Server
 
     // Warm caches shared across requests.
     runner::ProgramCache programCache_;
-    sim::PhaseCache phaseCache_;
     std::mutex traceMu_;
     std::unordered_map<std::string,
                        std::shared_ptr<const trace::Trace>>

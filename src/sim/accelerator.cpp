@@ -56,19 +56,10 @@ lowerAndRun(const trace::Trace &tr, const compiler::LoweringOptions &opts,
  * value behaves identically on either path (including the TimeoutError
  * diagnostics, which both engines emit through sim::detail helpers).
  */
-/// Host-side phase-cache lookup outcomes of one executeProgram() call;
-/// surfaced on RunResult (never serialized — see stats.h).
-struct ExecCacheCounts
-{
-    u64 hits = 0;
-    u64 misses = 0;
-};
-
 RunStats
 executeProgram(const compiler::Program &program,
                const std::string &machine, u64 configDigest,
-               const RunOptions &runOpts,
-               ExecCacheCounts *cacheCounts = nullptr)
+               const RunOptions &runOpts)
 {
     validateRunOptions(runOpts);
     UFC_EXPECT(!program.composed(), ConfigError,
@@ -92,17 +83,11 @@ executeProgram(const compiler::Program &program,
     BytecodeEngine engine(&program, window);
     engine.setMaxCycles(runOpts.maxCycles);
     engine.setHostDeadline(runOpts.hostDeadline);
-    engine.setPhaseCache(runOpts.phaseCache);
     if (runOpts.timeline) {
         runOpts.timeline->clear();
         engine.setTimeline(runOpts.timeline);
     }
-    RunStats stats = engine.run();
-    if (cacheCounts) {
-        cacheCounts->hits = engine.runCacheHits();
-        cacheCounts->misses = engine.runCacheMisses();
-    }
-    return stats;
+    return engine.run();
 }
 
 /** Share a freshly made lowering. */
@@ -233,13 +218,9 @@ RunResult
 ChipModel::execute(const compiler::Program &program,
                    const RunOptions &opts) const
 {
-    ExecCacheCounts cc;
-    RunResult r = attach(
-        executeProgram(program, name(), perf()->configDigest(), opts, &cc),
+    return attach(
+        executeProgram(program, name(), perf()->configDigest(), opts),
         opts, program.workload);
-    r.phaseCacheHits = cc.hits;
-    r.phaseCacheMisses = cc.misses;
-    return r;
 }
 
 RunResult
@@ -463,10 +444,6 @@ ComposedModel::combine(const RunResult &sharpRes,
     r.energyHbmJ = sharpRes.energyHbmJ + strixRes.energyHbmJ + pcieEnergyJ;
     r.areaMm2 = areaMm2();
     r.powerW = r.seconds > 0 ? r.energyJ / r.seconds : 0.0;
-    // Host-side observability carry-through (not a simulated observable).
-    r.phaseCacheHits = sharpRes.phaseCacheHits + strixRes.phaseCacheHits;
-    r.phaseCacheMisses =
-        sharpRes.phaseCacheMisses + strixRes.phaseCacheMisses;
     return r;
 }
 

@@ -5,8 +5,6 @@
 
 #include "switching/lwe_switch.h"
 
-#include "common/check.h"
-
 namespace ufc {
 namespace switching {
 
@@ -16,52 +14,32 @@ using tfhe::LweSecretKey;
 LweSwitchKey::LweSwitchKey(const LweSecretKey &srcKey,
                            const LweSecretKey &dstKey, u64 q, int logBase,
                            int levels, double sigma, Rng &rng)
-    : q_(q), srcDim_(static_cast<u32>(srcKey.s.size())),
-      dstDim_(static_cast<u32>(dstKey.s.size())),
-      gadget_(std::make_unique<Gadget>(q, logBase, levels))
 {
-    ksk_.resize(srcDim_);
-    for (u32 i = 0; i < srcDim_; ++i) {
-        ksk_[i].reserve(levels);
+    const u32 srcDim = static_cast<u32>(srcKey.s.size());
+    const u32 dstDim = static_cast<u32>(dstKey.s.size());
+    ksk_.gadget = std::make_unique<Gadget>(q, logBase, levels);
+    ksk_.modulus = Modulus(q);
+    ksk_.dstDim = dstDim;
+    ksk_.ksk.resize(srcDim);
+    for (u32 i = 0; i < srcDim; ++i) {
+        ksk_.ksk[i].reserve(levels);
         for (int j = 0; j < levels; ++j) {
-            const u64 m = mulMod(srcKey.s[i], gadget_->g(j), q);
+            const u64 m = mulMod(srcKey.s[i], ksk_.gadget->g(j), q);
             // Encrypt under the destination key with fresh noise.
             LweCiphertext ct;
             ct.q = q;
-            ct.a.resize(dstDim_);
+            ct.a.resize(dstDim);
             u64 acc = m;
-            for (u32 t = 0; t < dstDim_; ++t) {
+            for (u32 t = 0; t < dstDim; ++t) {
                 ct.a[t] = rng.uniform(q);
                 if (dstKey.s[t]) {
                     acc = addMod(acc, mulMod(ct.a[t], dstKey.s[t], q), q);
                 }
             }
             ct.b = addMod(acc, rng.gaussianMod(sigma, q), q);
-            ksk_[i].push_back(std::move(ct));
+            ksk_.ksk[i].push_back(std::move(ct));
         }
     }
-}
-
-LweCiphertext
-LweSwitchKey::apply(const LweCiphertext &ct) const
-{
-    UFC_CHECK(ct.q == q_ && ct.dim() == srcDim_,
-              "key switch input mismatch");
-    LweCiphertext out = LweCiphertext::trivial(ct.b, dstDim_, q_);
-    std::vector<u64> digits(gadget_->levels());
-    for (u32 i = 0; i < srcDim_; ++i) {
-        if (ct.a[i] == 0)
-            continue;
-        gadget_->decompose(ct.a[i], digits.data());
-        for (int j = 0; j < gadget_->levels(); ++j) {
-            if (digits[j] == 0)
-                continue;
-            LweCiphertext term = ksk_[i][j];
-            term.scaleInPlace(digits[j]);
-            out.subInPlace(term);
-        }
-    }
-    return out;
 }
 
 } // namespace switching

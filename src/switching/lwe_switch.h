@@ -8,11 +8,7 @@
 #ifndef UFC_SWITCHING_LWE_SWITCH_H
 #define UFC_SWITCHING_LWE_SWITCH_H
 
-#include <memory>
-#include <vector>
-
-#include "math/gadget.h"
-#include "tfhe/lwe.h"
+#include "tfhe/bootstrap.h"
 
 namespace ufc {
 namespace switching {
@@ -33,18 +29,18 @@ class LweSwitchKey
                  const tfhe::LweSecretKey &dstKey, u64 q, int logBase,
                  int levels, double sigma, Rng &rng);
 
-    tfhe::LweCiphertext apply(const tfhe::LweCiphertext &ct) const;
+    tfhe::LweCiphertext
+    apply(const tfhe::LweCiphertext &ct) const
+    {
+        return ksk_.apply(ct);
+    }
 
-    u32 srcDim() const { return srcDim_; }
-    u32 dstDim() const { return dstDim_; }
+    u32 srcDim() const { return static_cast<u32>(ksk_.ksk.size()); }
+    u32 dstDim() const { return ksk_.dstDim; }
 
   private:
-    u64 q_;
-    u32 srcDim_;
-    u32 dstDim_;
-    std::unique_ptr<Gadget> gadget_;
     /** ksk[i][j] encrypts srcKey_i * g_j under dstKey. */
-    std::vector<std::vector<tfhe::LweCiphertext>> ksk_;
+    tfhe::KeySwitchKey ksk_;
 };
 
 } // namespace switching

@@ -10,6 +10,36 @@
 namespace ufc {
 namespace tfhe {
 
+LweCiphertext
+KeySwitchKey::apply(const LweCiphertext &ct) const
+{
+    UFC_CHECK(ct.q == modulus.value() && ct.dim() == ksk.size(),
+              "key switch input mismatch");
+    const Modulus &mod = modulus;
+    const Gadget &g = *gadget;
+    const u32 dim = dstDim;
+
+    LweCiphertext out = LweCiphertext::trivial(ct.b, dim, mod.value());
+    std::vector<u64> digits(g.levels());
+    for (size_t i = 0; i < ksk.size(); ++i) {
+        if (ct.a[i] == 0)
+            continue;
+        g.decompose(ct.a[i], digits.data());
+        for (int j = 0; j < g.levels(); ++j) {
+            const u64 d = digits[j];
+            if (d == 0)
+                continue;
+            // out -= d_{i,j} * ksk[i][j], reading the key row in place.
+            const LweCiphertext &row = ksk[i][j];
+            const u64 dShoup = mod.shoupPrecompute(d);
+            for (u32 k = 0; k < dim; ++k)
+                out.a[k] = mod.sub(out.a[k], mod.mulShoup(row.a[k], d, dShoup));
+            out.b = mod.sub(out.b, mod.mulShoup(row.b, d, dShoup));
+        }
+    }
+    return out;
+}
+
 BootstrapContext::BootstrapContext(const TfheParams &params,
                                    const LweSecretKey &lweKey,
                                    const RlweSecretKey &ringKey, Rng &rng)
@@ -35,6 +65,8 @@ BootstrapContext::BootstrapContext(const TfheParams &params,
     // gadget element under the small key.
     ksk_.gadget = std::make_unique<Gadget>(params.q, params.ksLogBase,
                                            params.ksLevels);
+    ksk_.modulus = ringTable_->modulus();
+    ksk_.dstDim = params.lweDim;
     ksk_.ksk.resize(params.ringDim);
     for (u32 i = 0; i < params.ringDim; ++i) {
         ksk_.ksk[i].reserve(params.ksLevels);
@@ -69,30 +101,7 @@ BootstrapContext::blindRotate(const LweCiphertext &ct,
 LweCiphertext
 BootstrapContext::keySwitch(const LweCiphertext &ct) const
 {
-    UFC_CHECK(ct.dim() == params_.ringDim, "key switch input dimension");
-    const Modulus &mod = ringTable_->modulus();
-    const Gadget &g = *ksk_.gadget;
-
-    LweCiphertext out =
-        LweCiphertext::trivial(ct.b, params_.lweDim, mod.value());
-    std::vector<u64> digits(g.levels());
-    for (u32 i = 0; i < params_.ringDim; ++i) {
-        if (ct.a[i] == 0)
-            continue;
-        g.decompose(ct.a[i], digits.data());
-        for (int j = 0; j < g.levels(); ++j) {
-            const u64 d = digits[j];
-            if (d == 0)
-                continue;
-            // out -= d_{i,j} * ksk[i][j], reading the key row in place.
-            const LweCiphertext &row = ksk_.ksk[i][j];
-            const u64 dShoup = mod.shoupPrecompute(d);
-            for (u32 k = 0; k < params_.lweDim; ++k)
-                out.a[k] = mod.sub(out.a[k], mod.mulShoup(row.a[k], d, dShoup));
-            out.b = mod.sub(out.b, mod.mulShoup(row.b, d, dShoup));
-        }
-    }
-    return out;
+    return ksk_.apply(ct);
 }
 
 Poly

@@ -27,6 +27,16 @@ struct KeySwitchKey
     /** ksk[i][j] encrypts s'_i * g_j under the target key. */
     std::vector<std::vector<LweCiphertext>> ksk;
     std::unique_ptr<Gadget> gadget;
+    Modulus modulus; ///< ciphertext modulus of the inputs and the rows
+    u32 dstDim = 0;  ///< dimension of the target key
+
+    /**
+     * Switch `ct` (dimension ksk.size()) to the target key:
+     * (0, b) - sum_ij d_ij * ksk[i][j] over the gadget digits d_ij of
+     * a_i, reading each key row in place and scaling it by Shoup
+     * multiplication.
+     */
+    LweCiphertext apply(const LweCiphertext &ct) const;
 };
 
 /** Everything needed to bootstrap: RGSW keys, key switch key, tables. */

@@ -159,7 +159,7 @@ std::vector<PhaseRegion> phaseRegions(const Trace &tr);
 namespace detail {
 
 /// FNV-1a constants shared by the trace content hash, the compiler's
-/// phase-segment hash and the simulator's phase-cache entry key.
+/// shape index and the runner's result-memo key.
 inline constexpr u64 kFnvOffset = 14695981039346656037ULL;
 inline constexpr u64 kFnvPrime = 1099511628211ULL;
 
@@ -187,11 +187,10 @@ fnvMix(u64 &h, const std::string &s)
 
 /**
  * Word-at-a-time mixer (splitmix64 finalizer) for the hot hashing
- * paths — the compiler's per-instruction segment digest and the
- * engine's phase-cache entry key.  ~8x cheaper than byte-wise FNV on
- * u64 payloads with comparable avalanche; these digests live only in
- * memory (cache keys, disassembly), so they need no cross-version
- * stability.
+ * paths — the compiler's shape index and in-memory cache keys.  ~8x
+ * cheaper than byte-wise FNV on u64 payloads with comparable
+ * avalanche; these digests live only in memory, so they need no
+ * cross-version stability.
  */
 inline void
 mix64(u64 &h, u64 v)

@@ -5,11 +5,13 @@
  * whole batch (asserted via the live-Program instance counter), a
  * concurrent shared_future get() of one key must lower exactly once,
  * shared lowerings must bind bit-identically to private compiles across
- * the whole paper sweep, and BcLoop repeat folding at trip-count edge
- * values must execute identically to the unrolled stream.
+ * the whole paper sweep, BcLoop repeat folding at trip-count edge
+ * values must execute identically to the unrolled stream, and the
+ * result memo must hand back exactly what a fresh run computes.
  */
 
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "runner/runner.h"
 #include "runner/sweeps.h"
 #include "sim/accelerator.h"
+#include "sim/timeline.h"
 #include "sim/ufc_perf.h"
 #include "workloads/workloads.h"
 
@@ -233,7 +236,6 @@ unrolled(const compiler::Program &p)
         out.code.clear();
         out.loops.clear();
         out.phaseEvents.clear();
-        out.segments.clear(); // regions shift; not needed here
 
         std::size_t li = 0;
         std::size_t ev = 0;
@@ -344,6 +346,256 @@ TEST(ProgramCacheGaps, RepeatOfferEdgeTripCounts)
                   model.execute(flat(trips)).toJson())
             << trips;
     }
+}
+
+// ---------------------------------------------------------------------
+// Result memo: a hit is a copy of what a fresh run computes, relabelled.
+
+/** One job through runJob on `cache`; host time off so results compare
+ *  byte for byte. */
+struct MemoRun
+{
+    sim::RunResult result;
+    runner::JobOutcome outcome;
+};
+
+MemoRun
+runMemo(const Job &job, ProgramCache &cache)
+{
+    RunnerConfig cfg;
+    cfg.measureHostTime = false;
+    MemoRun out;
+    ExperimentRunner(cfg).runJob(job, 0, out.result, out.outcome, &cache);
+    return out;
+}
+
+/** What an uncached run of `job` serializes to. */
+std::string
+freshJson(const Job &job)
+{
+    sim::RunOptions opts = job.options;
+    opts.label = job.label;
+    return job.model->run(*job.trace, opts).toJson();
+}
+
+TEST(ResultMemo, BuiltinsBitIdentical)
+{
+    // One cache across every builtin, run twice each: the first run
+    // misses and stores, the second is served from the memo, and both
+    // serialize exactly like an uncached run (cycles, energy, per-op
+    // attribution and stall causes are all in the JSON).
+    const auto cp = ckks::CkksParams::c1();
+    const auto tp = tfhe::TfheParams::t4();
+    const auto ufc = std::make_shared<UfcModel>();
+    std::vector<Job> jobs;
+    for (trace::Trace tr :
+         {workloads::helr(cp, 2), workloads::ckksBootstrapping(cp, 2),
+          workloads::sorting(cp, 256), workloads::pbsThroughput(tp, 16),
+          workloads::hybridKnn(cp, tp, 64)})
+        jobs.push_back({"memo/" + tr.name, ufc,
+                        std::make_shared<trace::Trace>(std::move(tr)),
+                        {}, ""});
+    jobs.push_back({"memo/composed", std::make_shared<sim::ComposedModel>(),
+                    jobs.back().trace, {}, ""});
+
+    ProgramCache cache;
+    for (const Job &job : jobs) {
+        const std::string fresh = freshJson(job);
+        const MemoRun cold = runMemo(job, cache);
+        EXPECT_STREQ(cold.outcome.memo, "miss") << job.label;
+        EXPECT_EQ(cold.result.toJson(), fresh) << job.label;
+        const MemoRun warm = runMemo(job, cache);
+        EXPECT_STREQ(warm.outcome.memo, "hit") << job.label;
+        EXPECT_EQ(warm.result.toJson(), fresh) << job.label;
+    }
+    EXPECT_EQ(cache.resultHits(), jobs.size());
+    EXPECT_EQ(cache.resultMisses(), jobs.size());
+}
+
+TEST(ResultMemo, RunParametersKeyTheMemo)
+{
+    // A different prefetch window, watchdog budget, verbosity or model
+    // instance is a different run: each misses, and each result equals
+    // its own uncached run, never a neighbour's.
+    const auto model = std::make_shared<UfcModel>();
+    const auto tr = std::make_shared<const trace::Trace>(
+        workloads::ckksBootstrapping(ckks::CkksParams::c1(), 2));
+    std::vector<Job> jobs;
+    for (int window : {-1, 0, 1, 4, 64}) {
+        Job job{"w" + std::to_string(window), model, tr, {}, ""};
+        job.options.prefetchWindow = window;
+        jobs.push_back(job);
+    }
+    jobs.push_back({"watchdog", model, tr, {}, ""});
+    jobs.back().options.maxCycles = u64(1) << 40; // armed, never trips
+    jobs.push_back({"compact", model, tr, {}, ""});
+    jobs.back().options.verbosity = sim::StatsVerbosity::Compact;
+    jobs.push_back({"twin", std::make_shared<UfcModel>(), tr, {}, ""});
+
+    ProgramCache cache;
+    for (const Job &job : jobs) {
+        const MemoRun cold = runMemo(job, cache);
+        EXPECT_STREQ(cold.outcome.memo, "miss") << job.label;
+        EXPECT_EQ(cold.result.toJson(), freshJson(job)) << job.label;
+    }
+    EXPECT_EQ(cache.resultHits(), 0u);
+    for (const Job &job : jobs) {
+        const MemoRun warm = runMemo(job, cache);
+        EXPECT_STREQ(warm.outcome.memo, "hit") << job.label;
+        EXPECT_EQ(warm.result.toJson(), freshJson(job)) << job.label;
+    }
+}
+
+TEST(ResultMemo, WatchdogTripNotStored)
+{
+    // A tripped run stores nothing, so a rerun trips again with the same
+    // bytes as an uncached run.
+    const auto model = std::make_shared<UfcModel>();
+    const auto tr = std::make_shared<const trace::Trace>(
+        workloads::ckksBootstrapping(ckks::CkksParams::c1(), 2));
+    Job job{"tripped", model, tr, {}, ""};
+    job.options.maxCycles = 500000;
+    std::string uncached;
+    try {
+        model->run(*tr, job.options);
+        FAIL() << "uncached watchdog did not trip";
+    } catch (const TimeoutError &e) {
+        uncached = e.what();
+    }
+    ProgramCache cache;
+    for (int attempt = 0; attempt < 2; ++attempt) {
+        const MemoRun run = runMemo(job, cache);
+        EXPECT_EQ(run.outcome.status, runner::JobStatus::TimedOut);
+        EXPECT_EQ(run.outcome.message, uncached) << "attempt " << attempt;
+        EXPECT_STREQ(run.outcome.memo, "miss") << "attempt " << attempt;
+    }
+    EXPECT_EQ(cache.resultHits(), 0u);
+}
+
+TEST(ResultMemo, TimelineRunsBypassAndMatch)
+{
+    // A timeline run must record its slices, so it neither reads nor
+    // fills the memo, and its slices equal an uncached timeline run's.
+    const auto model = std::make_shared<UfcModel>();
+    const auto tr = std::make_shared<const trace::Trace>(
+        workloads::ckksBootstrapping(ckks::CkksParams::c1(), 2));
+    sim::Timeline plain;
+    sim::RunOptions plainOpts;
+    plainOpts.timeline = &plain;
+    model->run(*tr, plainOpts);
+
+    ProgramCache cache;
+    const Job plainJob{"plain", model, tr, {}, ""};
+    runMemo(plainJob, cache);
+
+    sim::Timeline recorded;
+    Job timed{"timed", model, tr, {}, ""};
+    timed.options.timeline = &recorded;
+    const MemoRun run = runMemo(timed, cache);
+    EXPECT_STREQ(run.outcome.memo, "off");
+    EXPECT_EQ(cache.resultHits() + cache.resultMisses(), 1u);
+    EXPECT_STREQ(runMemo(plainJob, cache).outcome.memo, "hit");
+
+    ASSERT_EQ(recorded.slices().size(), plain.slices().size());
+    for (std::size_t i = 0; i < plain.slices().size(); ++i) {
+        const auto &a = plain.slices()[i];
+        const auto &b = recorded.slices()[i];
+        EXPECT_EQ(a.track, b.track) << i;
+        EXPECT_EQ(a.depth, b.depth) << i;
+        EXPECT_EQ(a.name, b.name) << i;
+        EXPECT_EQ(a.beginCycle, b.beginCycle) << i;
+        EXPECT_EQ(a.endCycle, b.endCycle) << i;
+        EXPECT_EQ(a.bytes, b.bytes) << i;
+    }
+}
+
+TEST(ResultMemo, FifoBoundEvicts)
+{
+    const auto model = std::make_shared<UfcModel>();
+    const auto tr = std::make_shared<const trace::Trace>(
+        workloads::pbsThroughput(tfhe::TfheParams::t1(), 16));
+    std::vector<Job> jobs;
+    for (int window : {1, 2, 3}) {
+        jobs.push_back({"w" + std::to_string(window), model, tr, {}, ""});
+        jobs.back().options.prefetchWindow = window;
+    }
+    ProgramCache cache(2);
+    for (const Job &job : jobs)
+        runMemo(job, cache);
+    // The oldest result went first; the newest is still held.
+    EXPECT_STREQ(runMemo(jobs[2], cache).outcome.memo, "hit");
+    const MemoRun evicted = runMemo(jobs[0], cache);
+    EXPECT_STREQ(evicted.outcome.memo, "miss");
+    EXPECT_EQ(evicted.result.toJson(), freshJson(jobs[0]));
+    // Storing it again pushed out the next oldest.
+    EXPECT_STREQ(runMemo(jobs[1], cache).outcome.memo, "miss");
+}
+
+TEST(ResultMemo, HitCarriesRequestingLabel)
+{
+    // The stored run was labelled by the job that computed it; a hit
+    // answers for the job that asked, and the bound gate still checks
+    // the copy it returns.
+    const auto model = std::make_shared<UfcModel>();
+    const auto tr = std::make_shared<const trace::Trace>(
+        workloads::sorting(ckks::CkksParams::c1(), 256));
+    ProgramCache cache;
+    runMemo({"first", model, tr, {}, ""}, cache);
+    Job second{"second", model, tr, {}, ""};
+    second.options.boundsCheck = true;
+    const MemoRun hit = runMemo(second, cache);
+    EXPECT_STREQ(hit.outcome.memo, "hit");
+    EXPECT_EQ(hit.result.label, "second");
+    EXPECT_EQ(hit.result.toJson(), freshJson(second));
+    EXPECT_TRUE(hit.outcome.ok());
+    EXPECT_TRUE(hit.outcome.boundsChecked);
+    EXPECT_GE(hit.result.stats.totalCycles, hit.outcome.cyclesLower);
+    EXPECT_LE(hit.result.stats.totalCycles, hit.outcome.cyclesUpper);
+}
+
+TEST(ResultMemo, RacingIdenticalJobsAgree)
+{
+    // Racing identical jobs may all miss and all store; the first store
+    // wins and every caller gets the same bytes.  Run under
+    // -DUFC_SANITIZE=thread to certify the locking.
+    const auto model = std::make_shared<UfcModel>();
+    const auto tr = std::make_shared<const trace::Trace>(
+        workloads::pbsThroughput(tfhe::TfheParams::t1(), 16));
+    const Job job{"race", model, tr, {}, ""};
+    constexpr int kThreads = 4;
+    ProgramCache cache;
+    std::vector<std::string> got(kThreads);
+    {
+        std::vector<std::thread> pool;
+        for (int t = 0; t < kThreads; ++t)
+            pool.emplace_back(
+                [&, t] { got[t] = runMemo(job, cache).result.toJson(); });
+        for (auto &th : pool)
+            th.join();
+    }
+    const std::string fresh = freshJson(job);
+    for (const std::string &json : got)
+        EXPECT_EQ(json, fresh);
+    EXPECT_EQ(cache.resultHits() + cache.resultMisses(), u64(kThreads));
+    EXPECT_STREQ(runMemo(job, cache).outcome.memo, "hit");
+}
+
+TEST(ResultMemo, IrModeBypassesMemo)
+{
+    // The trace-IR interpreter builds no Program, so it never consults
+    // the memo.
+    const auto model = std::make_shared<UfcModel>();
+    const auto tr = std::make_shared<const trace::Trace>(
+        workloads::ckksBootstrapping(ckks::CkksParams::c1(), 2));
+    Job job{"ir", model, tr, {}, ""};
+    job.options.execMode = sim::ExecMode::TraceIr;
+    ProgramCache cache;
+    for (int attempt = 0; attempt < 2; ++attempt) {
+        const MemoRun run = runMemo(job, cache);
+        EXPECT_STREQ(run.outcome.memo, "off");
+        EXPECT_EQ(run.result.toJson(), freshJson(job));
+    }
+    EXPECT_EQ(cache.resultHits() + cache.resultMisses(), 0u);
 }
 
 } // namespace

@@ -10,7 +10,8 @@
  *                       never start()ed just accumulates queued records,
  *                       which makes occupancy deterministic)
  *   ServeLifecycle    — a real daemon on an AF_UNIX socket: the soak
- *                       bit-identity to a serial runner, backpressure
+ *                       bit-identity to a serial runner, repeated
+ *                       requests served from the result memo, backpressure
  *                       tiers with warm-spec admission, queue-covering
  *                       deadlines, drain under load, stop-cancels-queued
  *   ServeInterruption — the runner's cancelFlag path and the
@@ -551,6 +552,41 @@ TEST(ServeLifecycle, SubmitRunsAndReturnsEmbeddedResult)
     const JsonValue h = client.health();
     EXPECT_EQ("serving", h.getString("status"));
     EXPECT_EQ(1, h.find("stats")->getInt("completed"));
+}
+
+TEST(ServeLifecycle, RepeatedSubmitServedFromResultMemo)
+{
+    // A request identical to an earlier successful one is answered from
+    // the ProgramCache result memo: the same bytes apart from label and
+    // host_seconds, counted in health's phase_hits.
+    serve::ServeConfig cfg;
+    cfg.socketPath = uniqueSocketPath();
+    serve::Server server(cfg);
+    server.start();
+
+    serve::Client client;
+    client.connect(cfg.socketPath, 5);
+    const std::string text = smallTraceText(8);
+    std::vector<JsonValue> results;
+    for (const char *label : {"memo/first", "memo/second"}) {
+        const JsonValue sub = client.submit(traceTextJob(text, label));
+        ASSERT_TRUE(sub.getBool("ok")) << sub.dump();
+        const JsonValue res = client.waitResult(sub.getString("id"));
+        ASSERT_TRUE(res.getBool("ok")) << res.dump();
+        const JsonValue *result = res.find("result");
+        ASSERT_NE(nullptr, result);
+        EXPECT_EQ(label, result->getString("label"));
+        JsonValue copy = *result;
+        copy.set("label", JsonValue::makeString(""));
+        results.push_back(copy);
+    }
+    EXPECT_EQ(normalizedDump(results[0]), normalizedDump(results[1]));
+
+    const JsonValue h = client.health();
+    const JsonValue *caches = h.find("caches");
+    ASSERT_NE(nullptr, caches);
+    EXPECT_EQ(1, caches->getInt("phase_hits"));
+    EXPECT_EQ(1, caches->getInt("phase_misses"));
 }
 
 TEST(ServeLifecycle, SoakIsBitIdenticalToSerialRunner)

@@ -84,6 +84,36 @@ TEST_F(SwitchFixture, LweSwitchKeyChangesKeyAndDimension)
     }
 }
 
+TEST_F(SwitchFixture, LweSwitchKeyOutputIsPinned)
+{
+    // FNV-1a digest of key-switched uniform inputs, taken from the
+    // reference implementation (each key row copied, scaled by a 128-bit
+    // remainder and subtracted); any rewrite must keep every bit.
+    constexpr u64 kDigest = 0x5e2a438f01e8de7aULL;
+    const u64 q = findNttPrime(32, 1 << 12);
+    Rng r(5);
+    const tfhe::LweSecretKey big = tfhe::LweSecretKey::generate(1024, r);
+    const tfhe::LweSecretKey small = tfhe::LweSecretKey::generate(256, r);
+    const LweSwitchKey ks(big, small, q, 4, 6, 3.2, r);
+
+    Rng inputs(9);
+    u64 h = 0xcbf29ce484222325ULL;
+    for (int rep = 0; rep < 16; ++rep) {
+        tfhe::LweCiphertext ct = tfhe::LweCiphertext::trivial(0, 1024, q);
+        for (u64 &x : ct.a)
+            x = inputs.uniform(q);
+        ct.b = inputs.uniform(q);
+        const tfhe::LweCiphertext out = ks.apply(ct);
+        for (const u64 w : out.a) {
+            h ^= w;
+            h *= 0x100000001b3ULL;
+        }
+        h ^= out.b;
+        h *= 0x100000001b3ULL;
+    }
+    EXPECT_EQ(h, kDigest);
+}
+
 TEST_F(SwitchFixture, CkksToTfheBridgeEndToEnd)
 {
     // CKKS-encrypted small integers, converted to TFHE LWEs and decrypted
