@@ -60,42 +60,38 @@ now()
         .count();
 }
 
-/** Everything except hostSeconds (a host-side measurement) must match. */
-bool
-identicalSimulated(const sim::RunResult &a, const sim::RunResult &b)
+/**
+ * 0 when two runs of one job list settled every job the same way and
+ * every successful result is the same simulation (simulatedDigest());
+ * otherwise 1, after naming the first divergence on stderr (with both
+ * results' JSON).  `what` names the pair ("parallel and serial").
+ */
+int
+compareBatches(const runner::BatchResult &a, const runner::BatchResult &b,
+               const char *what)
 {
-    if (a.label != b.label || a.machine != b.machine ||
-        a.workload != b.workload || a.seconds != b.seconds ||
-        a.energyJ != b.energyJ || a.powerW != b.powerW ||
-        a.areaMm2 != b.areaMm2 ||
-        a.energyStaticJ != b.energyStaticJ ||
-        a.energyHbmJ != b.energyHbmJ ||
-        a.stats.totalCycles != b.stats.totalCycles ||
-        a.stats.hbmBytes != b.stats.hbmBytes ||
-        a.stats.hbmBusyCycles != b.stats.hbmBusyCycles ||
-        a.stats.spadHitBytes != b.stats.spadHitBytes ||
-        a.stats.instCount != b.stats.instCount)
-        return false;
-    for (int i = 0; i < isa::kNumResources; ++i)
-        if (a.stats.busyCycles[i] != b.stats.busyCycles[i])
-            return false;
-    for (int i = 0; i < isa::kNumHwOps; ++i) {
-        const auto &ao = a.stats.opStats[i];
-        const auto &bo = b.stats.opStats[i];
-        if (ao.count != bo.count || ao.cycles != bo.cycles ||
-            ao.computeCycles != bo.computeCycles ||
-            ao.stallCycles != bo.stallCycles ||
-            ao.fillCycles != bo.fillCycles || ao.hbmBytes != bo.hbmBytes)
-            return false;
+    if (a.results.size() != b.results.size()) {
+        std::fprintf(stderr, "FAIL: result count mismatch\n");
+        return 1;
     }
-    const auto &as = a.stats.stalls;
-    const auto &bs = b.stats.stalls;
-    return as.hbmBound == bs.hbmBound &&
-           as.dependency == bs.dependency &&
-           as.pipelineFill == bs.pipelineFill &&
-           as.spadSpillCycles == bs.spadSpillCycles &&
-           as.spadWritebackBytes == bs.spadWritebackBytes &&
-           as.spadEvictions == bs.spadEvictions;
+    for (std::size_t i = 0; i < a.results.size(); ++i) {
+        const char *label = a.results[i].label.c_str();
+        if (a.outcomes[i].status != b.outcomes[i].status) {
+            std::fprintf(stderr, "FAIL: %s job status differ at %s\n",
+                         what, label);
+            return 1;
+        }
+        if (a.outcomes[i].ok() && a.results[i].simulatedDigest() !=
+                                      b.results[i].simulatedDigest()) {
+            std::fprintf(stderr,
+                         "FAIL: %s results differ at %s\n  %s\n  %s\n",
+                         what, label, a.results[i].toJson().c_str(),
+                         b.results[i].toJson().c_str());
+            return 1;
+        }
+    }
+    std::printf("%s results are bit-identical.\n", what);
+    return 0;
 }
 
 /** "dir/helr.ufctrace" -> "helr" (label component for --trace jobs). */
@@ -267,7 +263,7 @@ try {
     // The sweep binary is the scrape surface for the metrics layer, so
     // recording defaults ON here (library default is off).  Metrics are
     // observation-only: on-vs-off runs are bit-identical on every
-    // simulated observable (the CI metrics-differential job asserts it).
+    // simulated observable (CI's metrics on/off comparison asserts it).
     metrics::setEnabled(!noMetrics);
 
     std::vector<runner::Sweep> sweeps;
@@ -421,29 +417,8 @@ try {
         std::printf("trace-ir sweep: %.2f s wall (bytecode %.2fx "
                     "faster)\n", irWall, speedup);
 
-        if (batch.results.size() != irBatch.results.size()) {
-            std::fprintf(stderr, "FAIL: result count mismatch\n");
+        if (compareBatches(batch, irBatch, "bytecode and trace-ir") != 0)
             return 1;
-        }
-        for (std::size_t i = 0; i < batch.results.size(); ++i) {
-            if (batch.outcomes[i].status != irBatch.outcomes[i].status) {
-                std::fprintf(stderr,
-                             "FAIL: bytecode and trace-ir job status "
-                             "differ at %s\n",
-                             batch.results[i].label.c_str());
-                return 1;
-            }
-            if (batch.outcomes[i].ok() &&
-                !identicalSimulated(batch.results[i],
-                                    irBatch.results[i])) {
-                std::fprintf(stderr,
-                             "FAIL: bytecode and trace-ir results "
-                             "differ at %s\n",
-                             batch.results[i].label.c_str());
-                return 1;
-            }
-        }
-        std::printf("bytecode results are bit-identical to trace-ir.\n");
 
         if (!benchJsonPath.empty()) {
             std::ofstream f(benchJsonPath);
@@ -483,29 +458,8 @@ try {
                     "threads)\n", serialWall, serialWall / parallelWall,
                     threads);
 
-        if (batch.results.size() != serialBatch.results.size()) {
-            std::fprintf(stderr, "FAIL: result count mismatch\n");
+        if (compareBatches(batch, serialBatch, "parallel and serial") != 0)
             return 1;
-        }
-        for (std::size_t i = 0; i < batch.results.size(); ++i) {
-            if (batch.outcomes[i].status !=
-                serialBatch.outcomes[i].status) {
-                std::fprintf(stderr,
-                             "FAIL: parallel and serial job status "
-                             "differ at %s\n",
-                             batch.results[i].label.c_str());
-                return 1;
-            }
-            if (batch.outcomes[i].ok() &&
-                !identicalSimulated(batch.results[i],
-                                    serialBatch.results[i])) {
-                std::fprintf(stderr,
-                             "FAIL: parallel and serial results differ "
-                             "at %s\n", batch.results[i].label.c_str());
-                return 1;
-            }
-        }
-        std::printf("parallel results are bit-identical to serial.\n");
     }
 
     runner::ReportMeta meta;

@@ -10,9 +10,10 @@
  *
  * Lowerings and finished results stay warm in one ProgramCache across
  * requests: a request identical to an earlier successful one (same
- * machine, trace, prefetch window, maxCycles and verbosity) is answered
- * from the result memo without simulating again.  `--program-cache`
- * bounds both; health's `phase_hits`/`phase_misses` count memo lookups.
+ * machine, trace, prefetch window and maxCycles) is answered from the
+ * result memo without simulating again.  `--program-cache` bounds both,
+ * and the generated-trace cache too; health's `phase_hits`/
+ * `phase_misses` count memo lookups and `trace_entries` the traces.
  *
  *   ./build/bench/ufc_serve --socket /tmp/ufc.sock
  *   ./build/bench/ufc_serve --socket /tmp/ufc.sock --workers 4 \
@@ -65,8 +66,9 @@ usage(const char *argv0)
         "  --tenant-rate R   token refill per second (default 32)\n"
         "  --lint            lint pre-flight on jobs by default (shed\n"
         "                    under load, tier >= 1)\n"
-        "  --program-cache N bound on the cached lowerings and on the\n"
-        "                    result memo (default 256 entries each)\n"
+        "  --program-cache N bound on the cached lowerings, the result\n"
+        "                    memo and the generated traces (default\n"
+        "                    256 entries each)\n"
         "  --retention N     terminal results retained for queries and\n"
         "                    the final report (default 8192)\n"
         "  --report PATH     final ufc.report/v2 envelope on drain\n"

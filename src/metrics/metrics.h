@@ -21,7 +21,7 @@
  * caching decisions or any simulated observable: a run with metrics on is
  * bit-identical to a run with metrics off on cycles, energy, attribution,
  * timelines, error bytes and kernel outputs (enforced by the `metrics`
- * ctest label and the CI metrics-differential job).  When off — the
+ * ctest label and CI's metrics on/off sweep comparison).  When off — the
  * default — every instrumentation site costs one relaxed atomic load and
  * a predicted branch.
  *

@@ -8,7 +8,7 @@
  * inside a job run inline on the job's worker (see parallel.h), so the
  * runner's thread budget is the true process concurrency.
  *
- * Fault isolation: runOne() wraps one job attempt in a catch-all, maps
+ * Fault isolation: runJob() wraps one job attempt in a catch-all, maps
  * the error to a JobOutcome (typed kind + message), and applies the
  * bounded retry policy.  Exceptions never cross the pool boundary
  * (parallelFor would terminate), and a failed job's slot holds a
@@ -216,7 +216,7 @@ ProgramCache::resultKey(const sim::AcceleratorModel &model,
 {
     return ResultKey{reinterpret_cast<std::uintptr_t>(&model),
                      program.traceHash, opts.prefetchWindow,
-                     opts.maxCycles, opts.verbosity};
+                     opts.maxCycles};
 }
 
 std::optional<sim::RunResult>
@@ -340,8 +340,81 @@ ExperimentRunner::effectiveThreads(std::size_t jobs) const
     return t < 1 ? 1 : t;
 }
 
+namespace {
+
+/**
+ * The bytecode steps of one job attempt: validate the options (before
+ * paying for a compile), compile (through `cache` when given), run the
+ * dataflow and cost-bound pre-flights on the Program, then answer from
+ * the result memo or execute.
+ */
 void
-ExperimentRunner::runOne(const Job &job, std::size_t index,
+runProgram(const sim::AcceleratorModel &model, const trace::Trace &tr,
+           const sim::RunOptions &opts, ProgramCache *cache,
+           sim::RunResult &result, JobOutcome &outcome)
+{
+    sim::validateRunOptions(opts);
+    const compiler::Program program =
+        cache ? cache->get(model, tr) : model.compile(tr);
+    if (opts.dataflowLint) {
+        // Program-level rules on the compiled bytecode (the trace-level
+        // dataflow passes already ran in the pre-flight).
+        analysis::DiagnosticReport rep;
+        compiler::verifyProgram(program, rep);
+        analysis::runProgramDataflow(program, rep);
+        if (const analysis::Diagnostic *first = rep.firstError()) {
+            throw TraceError("dataflow lint failed for program '" +
+                             program.workload + "' (" +
+                             std::to_string(rep.errorCount()) +
+                             " error(s)): " + first->format());
+        }
+    }
+    analysis::CostBounds bounds;
+    if (opts.boundsCheck)
+        bounds = analysis::analyzeCostBounds(program);
+    // An identical earlier run's result, relabelled for this job;
+    // timeline runs must record their slices, so they always execute.
+    const bool memo = cache != nullptr && !opts.timeline;
+    std::optional<sim::RunResult> memoized;
+    if (memo)
+        memoized = cache->findResult(model, program, opts);
+    outcome.memo = !memo ? "off" : memoized ? "hit" : "miss";
+    if (memoized) {
+        result = std::move(*memoized);
+        result.label = opts.label;
+    } else {
+        result = model.execute(program, opts);
+    }
+    if (opts.boundsCheck) {
+        outcome.boundsChecked = true;
+        outcome.cyclesLower = bounds.cyclesLower;
+        outcome.cyclesUpper = bounds.cyclesUpper;
+        outcome.hbmLower = bounds.hbmLower;
+        outcome.hbmUpper = bounds.hbmUpper;
+        const double cycles = result.stats.totalCycles;
+        const double hbm = result.stats.hbmBytes;
+        UFC_EXPECT(cycles >= bounds.cyclesLower &&
+                       cycles <= bounds.cyclesUpper,
+                   SimError,
+                   "static cycle bound violated for '"
+                       << opts.label << "': dynamic " << cycles
+                       << " outside [" << bounds.cyclesLower << ", "
+                       << bounds.cyclesUpper << "]");
+        UFC_EXPECT(hbm >= bounds.hbmLower && hbm <= bounds.hbmUpper,
+                   SimError,
+                   "static HBM bound violated for '"
+                       << opts.label << "': dynamic " << hbm
+                       << " outside [" << bounds.hbmLower << ", "
+                       << bounds.hbmUpper << "]");
+    }
+    if (memo && !memoized)
+        cache->storeResult(model, program, opts, result);
+}
+
+} // namespace
+
+void
+ExperimentRunner::runJob(const Job &job, std::size_t index,
                          sim::RunResult &result, JobOutcome &outcome,
                          ProgramCache *cache) const
 {
@@ -414,86 +487,16 @@ ExperimentRunner::runOne(const Job &job, std::size_t index,
                             cfg_.jobTimeoutSeconds));
 
             const auto t0 = std::chrono::steady_clock::now();
-            // Bytecode jobs that need the compiled Program in hand
-            // (batch compile sharing, the program-level dataflow rules,
-            // the static cost-bound gate) take the explicit
-            // compile+execute path; for Bytecode mode run() IS
-            // execute(compile()), so results are bit-identical.
-            const bool wantProgram =
-                opts.execMode == sim::ExecMode::Bytecode &&
-                (cache != nullptr || job.options.dataflowLint ||
-                 job.options.boundsCheck);
-            if (wantProgram) {
-                // Lower-once path: sibling jobs whose models lower the
-                // trace identically share one lowering.
-                const compiler::Program program =
-                    cache ? cache->get(*job.model, *tr)
-                          : job.model->compile(*tr);
-                if (job.options.dataflowLint) {
-                    // Program-level rules on the cached bytecode (the
-                    // trace-level dataflow passes already ran in the
-                    // pre-flight above — no re-lowering).
-                    analysis::DiagnosticReport rep;
-                    compiler::verifyProgram(program, rep);
-                    analysis::runProgramDataflow(program, rep);
-                    if (const analysis::Diagnostic *first =
-                            rep.firstError()) {
-                        throw TraceError(
-                            "dataflow lint failed for program '" +
-                            program.workload + "' (" +
-                            std::to_string(rep.errorCount()) +
-                            " error(s)): " + first->format());
-                    }
-                }
-                analysis::CostBounds bounds;
-                if (job.options.boundsCheck)
-                    bounds = analysis::analyzeCostBounds(program);
-                // An identical earlier run's result, relabelled for this
-                // job; timeline runs must record their slices, so they
-                // always execute.
-                const bool memo = cache != nullptr && !opts.timeline;
-                std::optional<sim::RunResult> memoized;
-                if (memo)
-                    memoized = cache->findResult(*job.model, program, opts);
-                outcome.memo = !memo ? "off" : memoized ? "hit" : "miss";
-                if (memoized) {
-                    result = std::move(*memoized);
-                    result.label = opts.label;
-                } else {
-                    result = job.model->execute(program, opts);
-                }
-                if (job.options.boundsCheck) {
-                    outcome.boundsChecked = true;
-                    outcome.cyclesLower = bounds.cyclesLower;
-                    outcome.cyclesUpper = bounds.cyclesUpper;
-                    outcome.hbmLower = bounds.hbmLower;
-                    outcome.hbmUpper = bounds.hbmUpper;
-                    const double cycles = result.stats.totalCycles;
-                    const double hbm = result.stats.hbmBytes;
-                    UFC_EXPECT(cycles >= bounds.cyclesLower &&
-                                   cycles <= bounds.cyclesUpper,
-                               SimError,
-                               "static cycle bound violated for '"
-                                   << label << "': dynamic " << cycles
-                                   << " outside [" << bounds.cyclesLower
-                                   << ", " << bounds.cyclesUpper << "]");
-                    UFC_EXPECT(hbm >= bounds.hbmLower &&
-                                   hbm <= bounds.hbmUpper,
-                               SimError,
-                               "static HBM bound violated for '"
-                                   << label << "': dynamic " << hbm
-                                   << " outside [" << bounds.hbmLower
-                                   << ", " << bounds.hbmUpper << "]");
-                }
-                if (memo && !memoized)
-                    cache->storeResult(*job.model, program, opts, result);
-            } else {
+            if (opts.execMode == sim::ExecMode::TraceIr) {
+                // The reference interpreter: no Program to share, gate
+                // or memoize.
                 result = job.model->run(*tr, opts);
+            } else {
+                runProgram(*job.model, *tr, opts, cache, result, outcome);
             }
-            const auto t1 = std::chrono::steady_clock::now();
-            if (cfg_.measureHostTime)
-                result.hostSeconds =
-                    std::chrono::duration<double>(t1 - t0).count();
+            result.hostSeconds = std::chrono::duration<double>(
+                                     std::chrono::steady_clock::now() - t0)
+                                     .count();
             // On a retry success, keep the previous failure's
             // kind/message as the captured diagnostic.
             outcome.status = attempt == 1 ? JobStatus::Ok
@@ -551,14 +554,6 @@ ExperimentRunner::runOne(const Job &job, std::size_t index,
         outcome.recentEvents =
             metrics::flightRecorder().formatTail(kFailureEventTail);
     }
-}
-
-void
-ExperimentRunner::runJob(const Job &job, std::size_t index,
-                         sim::RunResult &result, JobOutcome &outcome,
-                         ProgramCache *cache) const
-{
-    runOne(job, index, result, outcome, cache);
 }
 
 BatchResult
@@ -639,7 +634,7 @@ ExperimentRunner::runAll(const std::vector<Job> &jobs) const
         const bool timeJob = cfg_.progress || metrics::enabled();
         const auto t0 = timeJob ? std::chrono::steady_clock::now()
                                 : std::chrono::steady_clock::time_point{};
-        runOne(jobs[i], i, batch.results[i], batch.outcomes[i],
+        runJob(jobs[i], i, batch.results[i], batch.outcomes[i],
                sharedProgram[i] ? &cache : nullptr);
         double wallMs = 0.0;
         if (timeJob) {

@@ -9,7 +9,7 @@
  * replaces those loops: callers declare a list of Jobs (model + trace +
  * RunOptions), the runner executes them across a pool of worker threads,
  * and the results come back in job order, bit-identical to a serial run
- * (AcceleratorModel::run is const and re-entrant; see accelerator.h).
+ * (models compile and execute const and re-entrantly; see accelerator.h).
  *
  * Failure containment: a job that throws ufc::Error (malformed trace
  * file, invalid RunOptions, unexecutable workload, watchdog/deadline
@@ -63,8 +63,8 @@ namespace runner {
  * do not split compile()) bypass the cache: get() returns compile(tr).
  *
  * Result memo: the simulation is deterministic, so one (model instance,
- * trace, prefetch window, maxCycles, verbosity) always gives the same
- * RunResult.  The runner stores each successful run under that key
+ * trace, prefetch window, maxCycles) always gives the same RunResult.
+ * The runner stores each successful run under that key
  * (storeResult) and serves an identical later request a copy
  * (findResult) instead of executing it again.  Runs that record a
  * timeline skip the memo.  The first store of a key wins, and
@@ -183,7 +183,6 @@ class ProgramCache
         u64 traceHash;
         int prefetchWindow;
         u64 maxCycles;
-        sim::StatsVerbosity verbosity;
 
         auto operator<=>(const ResultKey &o) const = default;
     };
@@ -235,8 +234,6 @@ struct RunnerConfig
 {
     /// Worker threads; <= 0 means std::thread::hardware_concurrency().
     int threads = 0;
-    /// Fill RunResult::hostSeconds with per-job wall-clock.
-    bool measureHostTime = true;
     /// Emit one machine-readable status line to stderr as each job
     /// finishes ("[jobs_done/jobs_total] <label> status=... ...
     /// cache=<JobOutcome::memo>").  Lines are serialized under a mutex
@@ -383,11 +380,15 @@ class ExperimentRunner
     /**
      * Execute ONE job on the calling thread with the full isolation
      * machinery (typed-error capture, bounded retries with backoff,
-     * deadline mapping, flight-recorder post-mortem on failure).  This
-     * is the unit of work a long-lived service schedules: the ufc_serve
-     * daemon calls it per accepted request from its own worker threads,
-     * passing its persistent ProgramCache so lowerings stay warm
-     * across requests.  `cache` may be null (no lowering sharing).
+     * deadline mapping, flight-recorder post-mortem on failure).  Every
+     * Bytecode job takes one path: validate the options, compile
+     * (through `cache` when given), the dataflow and cost-bound
+     * pre-flights, the result-memo lookup (with `cache`), execute.
+     * TraceIr jobs run the reference interpreter through run().
+     * runAll() calls this per job; the ufc_serve daemon calls it per
+     * accepted request, passing its persistent ProgramCache so
+     * lowerings and results stay warm across requests.  `cache` may be
+     * null (private compile, no memo).  Fills RunResult::hostSeconds.
      * Never throws for job-level failures.
      */
     void runJob(const Job &job, std::size_t index,
@@ -400,10 +401,6 @@ class ExperimentRunner
     const RunnerConfig &config() const { return cfg_; }
 
   private:
-    void runOne(const Job &job, std::size_t index,
-                sim::RunResult &result, JobOutcome &outcome,
-                ProgramCache *cache) const;
-
     RunnerConfig cfg_;
 };
 

@@ -25,7 +25,7 @@ Client::~Client()
 }
 
 Client::Client(Client &&other) noexcept
-    : fd_(other.fd_), maxFrameBytes_(other.maxFrameBytes_)
+    : fd_(other.fd_)
 {
     other.fd_ = -1;
 }
@@ -36,7 +36,6 @@ Client::operator=(Client &&other) noexcept
     if (this != &other) {
         close();
         fd_ = other.fd_;
-        maxFrameBytes_ = other.maxFrameBytes_;
         other.fd_ = -1;
     }
     return *this;
@@ -94,7 +93,7 @@ Client::requestText(const std::string &requestJson)
     UFC_EXPECT(fd_ >= 0, ConfigError, "client is not connected");
     writeFrame(fd_, requestJson);
     std::string payload;
-    UFC_EXPECT(readFrame(fd_, payload, maxFrameBytes_), ConfigError,
+    UFC_EXPECT(readFrame(fd_, payload), ConfigError,
                "daemon closed the connection without responding");
     return parseJson(payload);
 }

@@ -74,7 +74,6 @@ class Client
 
   private:
     int fd_ = -1;
-    u32 maxFrameBytes_ = kDefaultMaxFrameBytes;
 };
 
 } // namespace serve

@@ -43,7 +43,7 @@ readFull(int fd, char *buf, std::size_t len)
 } // namespace
 
 bool
-readFrame(int fd, std::string &payload, u32 maxBytes)
+readFrame(int fd, std::string &payload)
 {
     unsigned char hdr[4];
     const std::size_t h =
@@ -55,10 +55,11 @@ readFrame(int fd, std::string &payload, u32 maxBytes)
                "prefix");
     const u32 len = (u32{hdr[0]} << 24) | (u32{hdr[1]} << 16) |
                     (u32{hdr[2]} << 8) | u32{hdr[3]};
-    if (len > maxBytes)
+    if (len > kDefaultMaxFrameBytes)
         throw OverloadError("frame of " + std::to_string(len) +
                                 " bytes exceeds the " +
-                                std::to_string(maxBytes) + "-byte limit",
+                                std::to_string(kDefaultMaxFrameBytes) +
+                                "-byte limit",
                             -1.0);
     payload.resize(len);
     const std::size_t got = len == 0 ? 0 : readFull(fd, payload.data(), len);

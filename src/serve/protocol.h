@@ -49,7 +49,7 @@
 namespace ufc {
 namespace serve {
 
-/** Default cap on one frame's payload, request and response alike. */
+/** Cap on one frame's payload, request and response alike. */
 inline constexpr u32 kDefaultMaxFrameBytes = 4u << 20;
 
 /** Protocol revision reported by `health`. */
@@ -73,11 +73,11 @@ inline constexpr const char *kCodeTooManyConns = "too_many_connections";
  * Read one frame's payload from `fd` into `payload`.
  * Returns false on a clean EOF at a frame boundary (peer closed).
  * Throws ufc::ConfigError on a truncated frame or an I/O error, and
- * ufc::OverloadError carrying no retry hint on an oversized length
- * prefix (the caller decides whether to answer before closing).
+ * ufc::OverloadError carrying no retry hint on a length prefix over
+ * kDefaultMaxFrameBytes (the caller decides whether to answer before
+ * closing).
  */
-bool readFrame(int fd, std::string &payload,
-               u32 maxBytes = kDefaultMaxFrameBytes);
+bool readFrame(int fd, std::string &payload);
 
 /** Write one frame (length prefix + payload) to `fd`; throws
  *  ufc::ConfigError when the peer is gone or the write fails.  Never

@@ -430,7 +430,7 @@ Server::connectionLoop(int fd)
     std::string payload;
     for (;;) {
         try {
-            if (!readFrame(fd, payload, cfg_.maxFrameBytes))
+            if (!readFrame(fd, payload))
                 return; // peer closed cleanly
         } catch (const OverloadError &e) {
             // Oversized length prefix: answer, then close — the stream
@@ -630,9 +630,12 @@ Server::handleSubmit(const JsonValue &req)
         rejectedCounter().inc();
         return errorResponse(
             "OverloadError", kCodeShedCompile,
-            "degraded: only warm (already-compiled) specs are admitted",
+            "degraded: only warm (already-admitted) specs are admitted",
             retryAfterMsLocked());
     }
+    // Admitted: later copies of this spec share its lowering and memo
+    // entry, so they count as warm from now on.
+    warmSpecs_.insert(rec->specKey);
     rec->lint = wantLint && tier < 1;
     rec->lintShed = wantLint && !rec->lint;
     if (rec->lintShed)
@@ -851,6 +854,11 @@ Server::handleHealth()
                                  programCache_.resultHits())));
     caches.set("phase_misses", JsonValue::makeInt(static_cast<i64>(
                                    programCache_.resultMisses())));
+    {
+        std::lock_guard<std::mutex> traceLock(traceMu_);
+        caches.set("trace_entries", JsonValue::makeInt(static_cast<i64>(
+                                        traceCache_.size())));
+    }
     resp.set("caches", std::move(caches));
     return resp;
 }
@@ -974,6 +982,16 @@ Server::executeJob(const std::shared_ptr<JobRecord> &rec)
                     // identical trace anyway.
                     auto ins = traceCache_.emplace(key, tr);
                     job.trace = ins.first->second;
+                    if (ins.second)
+                        traceOrder_.push_back(key);
+                    // FIFO bound: a scale can be up to 1e6, so the
+                    // generated traces must not accumulate.
+                    while (cfg_.programCacheMaxEntries > 0 &&
+                           traceCache_.size() >
+                               cfg_.programCacheMaxEntries) {
+                        traceCache_.erase(traceOrder_.front());
+                        traceOrder_.pop_front();
+                    }
                 }
             } else if (!rec->traceFile.empty()) {
                 // Loaded inside the job's isolation: a corrupt file
@@ -1019,7 +1037,6 @@ Server::finishJob(const std::shared_ptr<JobRecord> &rec)
     if (rec->outcome.ok()) {
         ++stats_.completed;
         completedCounter().inc();
-        warmSpecs_.insert(rec->specKey); // tier-2 admission set
     } else {
         ++stats_.failed;
         failedJobsCounter().inc();

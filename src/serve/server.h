@@ -23,8 +23,9 @@
  *    continue to be admitted.
  *  - **Graceful degradation tiers** by queue occupancy: tier 1 sheds
  *    the lint pre-flight from admitted jobs; tier 2 additionally sheds
- *    jobs that would require a *fresh* compile (only specs the warm
- *    caches have already seen are admitted); tier 3 (full) rejects.
+ *    jobs that would require a *fresh* compile (only specs already
+ *    admitted once are admitted: an earlier copy, queued or done,
+ *    lowers them and fills the result memo); tier 3 (full) rejects.
  *  - **Per-request deadlines** layered on the PR-4 watchdogs: the
  *    deadline covers queue wait too — a request that expires while
  *    queued fails fast without occupying a worker.
@@ -82,8 +83,6 @@ struct ServeConfig
     int workers = 2;
     /// Admission queue bound; submissions beyond it are shed.
     std::size_t queueCapacity = 64;
-    /// Cap on one frame's payload, both directions.
-    u32 maxFrameBytes = kDefaultMaxFrameBytes;
     /// Concurrent connections; excess gets an overload response.
     int maxConnections = 64;
     /// Default extra attempts for failed jobs (a submit may lower it).
@@ -103,7 +102,7 @@ struct ServeConfig
     /// Run the lint pre-flight on admitted jobs below tier 1.
     bool lintPreflight = false;
     /// Bound on the persistent ProgramCache's lowerings and memoized
-    /// results, each (0 = unbounded).
+    /// results and on the generated-trace cache, each (0 = unbounded).
     std::size_t programCacheMaxEntries = 256;
     /// Terminal job records retained for `result` queries and the final
     /// report; older ones are expired FIFO so a week of traffic cannot
@@ -212,6 +211,7 @@ class Server
     std::unordered_map<std::string,
                        std::shared_ptr<const trace::Trace>>
         traceCache_;
+    std::deque<std::string> traceOrder_; ///< insertion order, FIFO bound
 
     // Admission + lifecycle state, guarded by mu_.
     mutable std::mutex mu_;

@@ -103,7 +103,6 @@ stamp(RunResult &r, const RunOptions &opts, const std::string &machine,
       const std::string &workload)
 {
     r.label = opts.label;
-    r.verbosity = opts.verbosity;
     r.machine = machine;
     r.workload = workload;
 }

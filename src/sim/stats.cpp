@@ -9,11 +9,13 @@
 
 #include "sim/stats.h"
 
+#include <bit>
 #include <cstdio>
 #include <sstream>
 
 #include "common/error.h"
 #include "common/json.h"
+#include "trace/trace.h"
 
 namespace ufc {
 namespace sim {
@@ -87,6 +89,40 @@ RunResult::opEnergyJ(isa::HwOp op) const
     if (stats.totalCycles > 0)
         e += energyStaticJ * (o.cycles / stats.totalCycles);
     return e;
+}
+
+u64
+RunResult::simulatedDigest() const
+{
+    u64 h = trace::detail::kFnvOffset;
+    const auto word = [&h](u64 v) { trace::detail::mix64(h, v); };
+    const auto real = [&word](double v) { word(std::bit_cast<u64>(v)); };
+    trace::detail::fnvMix(h, label);
+    trace::detail::fnvMix(h, machine);
+    trace::detail::fnvMix(h, workload);
+    word(static_cast<u64>(verbosity));
+    for (double v : {seconds, energyJ, powerW, areaMm2, energyStaticJ,
+                     energyHbmJ})
+        real(v);
+    real(stats.totalCycles);
+    for (double v : stats.busyCycles)
+        real(v);
+    real(stats.hbmBytes);
+    real(stats.hbmBusyCycles);
+    real(stats.spadHitBytes);
+    word(stats.instCount);
+    for (const OpStats &o : stats.opStats) {
+        word(o.count);
+        for (double v : {o.cycles, o.computeCycles, o.stallCycles,
+                         o.fillCycles, o.hbmBytes})
+            real(v);
+    }
+    const StallStats &st = stats.stalls;
+    for (double v : {st.hbmBound, st.dependency, st.pipelineFill,
+                     st.spadSpillCycles, st.spadWritebackBytes})
+        real(v);
+    word(st.spadEvictions);
+    return h;
 }
 
 std::string

@@ -92,8 +92,6 @@ struct RunOptions
     /// Execution engine selection (see ExecMode).  Applies to run();
     /// compile()/execute() are inherently bytecode.
     ExecMode execMode = ExecMode::Bytecode;
-    /// Governs what toJson()/toCsvRow() emit for this run.
-    StatsVerbosity verbosity = StatsVerbosity::Full;
     /// Prefetch-window override for the cycle engine's memory engine;
     /// -1 keeps the model's default (CycleEngine::kDefaultPrefetchWindow),
     /// 0 requests no memory lookahead (fetch starts only when the
@@ -288,7 +286,8 @@ struct RunResult
     /// experiment runner, never by the models (it is the one field that
     /// is not deterministic run-to-run).
     double hostSeconds = 0.0;
-    /// Captured from RunOptions at run time; governs export detail.
+    /// Governs export detail; runs produce Full, and a caller that
+    /// wants the headline metrics only sets Compact on the result.
     StatsVerbosity verbosity = StatsVerbosity::Full;
 
     double edp() const { return energyJ * seconds; }
@@ -309,6 +308,13 @@ struct RunResult
      * all opcodes (up to rounding) when the cost model filled the split.
      */
     double opEnergyJ(isa::HwOp op) const;
+
+    /** FNV-1a digest of the bit pattern of every field except
+     *  hostSeconds (the one host measurement): the strings, verbosity,
+     *  the physical units and every raw RunStats counter.  Results with
+     *  equal digests count as the same simulation; on a mismatch, diff
+     *  their toJson(). */
+    u64 simulatedDigest() const;
 
     /** One self-contained JSON object (schema documented above).
      *  Doubles are printed with round-trip precision so serialized

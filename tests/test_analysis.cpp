@@ -19,6 +19,7 @@
 #include "common/error.h"
 #include "compiler/lowering.h"
 #include "runner/runner.h"
+#include "same_simulation.h"
 #include "sim/accelerator.h"
 #include "trace/serialize.h"
 #include "workloads/workloads.h"
@@ -534,16 +535,10 @@ TEST(AnalysisRunner, LintPreflightIsolatesCorruptTraceBitExactly)
 
     // The healthy jobs' simulated results are bit-exact with and
     // without the pre-flight: linting observes, never perturbs.
-    for (const std::size_t i : {std::size_t(0), std::size_t(2)}) {
-        EXPECT_EQ(linted.results[i].stats.totalCycles,
-                  unlinted.results[i].stats.totalCycles);
-        EXPECT_EQ(linted.results[i].stats.instCount,
-                  unlinted.results[i].stats.instCount);
-        EXPECT_EQ(linted.results[i].stats.hbmBytes,
-                  unlinted.results[i].stats.hbmBytes);
-        EXPECT_EQ(linted.results[i].energyJ, unlinted.results[i].energyJ);
-        EXPECT_EQ(linted.results[i].seconds, unlinted.results[i].seconds);
-    }
+    for (const std::size_t i : {std::size_t(0), std::size_t(2)})
+        EXPECT_TRUE(testutil::sameSimulation(linted.results[i],
+                                             unlinted.results[i]))
+            << i;
 
     // A fully clean batch passes the pre-flight untouched.
     auto cleanJobs = makeJobs(true);

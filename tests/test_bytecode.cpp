@@ -8,9 +8,10 @@
  * diagnostics — across the builtin workloads, the malformed/lint
  * fixture corpora, and fuzzed trace text.
  *
- * Comparison discipline: RunResult::toJson() prints doubles with
- * round-trip precision, so JSON string equality is bit equality over
- * the whole result (label, machine, workload, stats, breakdown).
+ * Comparison discipline: two results agree when their
+ * RunResult::simulatedDigest()s do (the bit pattern of every field but
+ * host time, raw busy-cycle counters included); a mismatch prints both
+ * results' JSON.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +29,7 @@
 #include "metrics/metrics.h"
 #include "program_edit.h"
 #include "runner/runner.h"
+#include "same_simulation.h"
 #include "sim/accelerator.h"
 #include "sim/timeline.h"
 #include "trace/serialize.h"
@@ -45,15 +47,16 @@ irOptions(const RunOptions &base = RunOptions{})
     return opts;
 }
 
-/** Both paths on one (model, trace, options) point must agree on the
- *  full serialized result. */
+using testutil::sameSimulation;
+
+/** Both engines on one (model, trace, options) point must give the same
+ *  simulation. */
 void
-expectBitIdentical(const AcceleratorModel &model, const trace::Trace &tr,
+expectEnginesAgree(const AcceleratorModel &model, const trace::Trace &tr,
                    const RunOptions &opts = RunOptions{})
 {
-    const RunResult bc = model.run(tr, opts);
-    const RunResult ir = model.run(tr, irOptions(opts));
-    EXPECT_EQ(bc.toJson(), ir.toJson())
+    EXPECT_TRUE(sameSimulation(model.run(tr, opts),
+                               model.run(tr, irOptions(opts))))
         << model.name() << " on " << tr.name;
 }
 
@@ -86,30 +89,30 @@ TEST(BytecodeDifferential, UfcMatchesIrOnAllBuiltins)
 {
     const UfcModel model;
     for (const auto &tr : ckksTraces())
-        expectBitIdentical(model, tr);
+        expectEnginesAgree(model, tr);
     for (const auto &tr : tfheTraces())
-        expectBitIdentical(model, tr);
-    expectBitIdentical(model, hybridTrace());
+        expectEnginesAgree(model, tr);
+    expectEnginesAgree(model, hybridTrace());
 }
 
 TEST(BytecodeDifferential, BaselinesMatchIrOnTheirSchemes)
 {
     const SharpModel sharp;
     for (const auto &tr : ckksTraces())
-        expectBitIdentical(sharp, tr);
+        expectEnginesAgree(sharp, tr);
     const StrixModel strix;
     for (const auto &tr : tfheTraces())
-        expectBitIdentical(strix, tr);
+        expectEnginesAgree(strix, tr);
 }
 
 TEST(BytecodeDifferential, ComposedMatchesIrIncludingPartitioning)
 {
     const ComposedModel composed;
-    expectBitIdentical(composed, hybridTrace());
+    expectEnginesAgree(composed, hybridTrace());
     // Degenerate partitions: all-CKKS (idle Strix) and all-TFHE (idle
     // SHARP) still agree, including the idle chip's static-energy term.
-    expectBitIdentical(composed, ckksTraces().front());
-    expectBitIdentical(composed, tfheTraces().front());
+    expectEnginesAgree(composed, ckksTraces().front());
+    expectEnginesAgree(composed, tfheTraces().front());
 }
 
 TEST(BytecodeDifferential, PrefetchWindowSweepMatchesIr)
@@ -119,7 +122,7 @@ TEST(BytecodeDifferential, PrefetchWindowSweepMatchesIr)
     for (int window : {0, 1, 4, 64}) {
         RunOptions opts;
         opts.prefetchWindow = window;
-        expectBitIdentical(model, tr, opts);
+        expectEnginesAgree(model, tr, opts);
     }
 }
 
@@ -141,7 +144,7 @@ TEST(BytecodeDifferential, TimelineSlicesMatchIrBitExact)
         irOpts.execMode = ExecMode::TraceIr;
         const RunResult ir = model->run(tr, irOpts);
 
-        EXPECT_EQ(bc.toJson(), ir.toJson());
+        EXPECT_TRUE(sameSimulation(bc, ir)) << model->name();
         ASSERT_EQ(bcTl.slices().size(), irTl.slices().size())
             << model->name();
         for (size_t i = 0; i < bcTl.slices().size(); ++i) {
@@ -218,15 +221,17 @@ outcomesMatch(const AcceleratorModel &model, const trace::Trace &tr)
     base.maxCycles = 100000000; // hostile-input safety net
     std::string bcOut;
     std::string irOut;
-    auto runOne = [&](const RunOptions &opts, std::string &out) {
+    auto runMode = [&](const RunOptions &opts, std::string &out) {
         try {
-            out = "ok:" + model.run(tr, opts).toJson();
+            const RunResult r = model.run(tr, opts);
+            out = "ok:" + std::to_string(r.simulatedDigest()) + ":" +
+                  r.toJson();
         } catch (const Error &e) {
             out = std::string("error:") + e.kind() + ":" + e.what();
         }
     };
-    runOne(base, bcOut);
-    runOne(irOptions(base), irOut);
+    runMode(base, bcOut);
+    runMode(irOptions(base), irOut);
     if (bcOut == irOut)
         return testing::AssertionSuccess();
     return testing::AssertionFailure()
@@ -436,12 +441,11 @@ TEST(BytecodeProgram, RunnerBatchMatchesIrBatch)
     const auto batch = runner::ExperimentRunner().runAll(jobs);
     ASSERT_TRUE(batch.allOk());
     for (size_t i = 0; i < jobs.size(); i += 2) {
-        auto bc = batch.results[i];
+        const auto &bc = batch.results[i];
         auto ir = batch.results[i + 1];
-        // Normalize the per-job fields that legitimately differ.
+        // The label is the one per-job field that legitimately differs.
         ir.label = bc.label;
-        ir.hostSeconds = bc.hostSeconds = 0.0;
-        EXPECT_EQ(bc.toJson(), ir.toJson()) << jobs[i].label;
+        EXPECT_TRUE(sameSimulation(bc, ir)) << jobs[i].label;
     }
 }
 
@@ -650,7 +654,7 @@ TEST(BytecodeLoops, LoopedProgramMatchesIrAcrossPrefetchWindows)
     for (int window : {0, 1, 4, 64}) {
         RunOptions opts;
         opts.prefetchWindow = window;
-        expectBitIdentical(model, tr, opts);
+        expectEnginesAgree(model, tr, opts);
     }
 }
 
@@ -672,7 +676,7 @@ TEST(BytecodeLoops, LoopedTimelineSlicesMatchIrBitExact)
     irOpts.execMode = ExecMode::TraceIr;
     const RunResult ir = model.run(tr, irOpts);
 
-    EXPECT_EQ(bc.toJson(), ir.toJson());
+    EXPECT_TRUE(sameSimulation(bc, ir));
     ASSERT_EQ(bcTl.slices().size(), irTl.slices().size());
     for (size_t i = 0; i < bcTl.slices().size(); ++i) {
         const TimelineSlice &a = bcTl.slices()[i];

@@ -6,9 +6,9 @@
  * bound, the NTT/CG-NTT/RNS kernel duration histograms, and the
  * guarantee that turning metrics on changes no simulated result.
  *
- * Run as `ctest -L metrics` (the `metrics_suite` aggregate target); the
- * CI metrics-differential job additionally runs it under TSan, which is
- * what the concurrent snapshot/record tests are for.
+ * Run as `ctest -L metrics` (the `metrics_suite` aggregate target); CI's
+ * TSan leg runs it too, which is what the concurrent snapshot/record
+ * tests are for.
  */
 
 #include <atomic>
@@ -33,6 +33,7 @@
 #include "poly/rns_poly.h"
 #include "runner/report.h"
 #include "runner/runner.h"
+#include "same_simulation.h"
 #include "sim/accelerator.h"
 #include "trace/trace.h"
 #include "workloads/workloads.h"
@@ -546,7 +547,6 @@ TEST(MetricsDifferential, RunnerBatchBitIdenticalOnVsOff)
 
     runner::RunnerConfig cfg;
     cfg.threads = 2;
-    cfg.measureHostTime = false; // keep host_seconds off the comparison
 
     metrics::setEnabled(false);
     const auto off = runner::ExperimentRunner(cfg).run(jobs);
@@ -558,10 +558,8 @@ TEST(MetricsDifferential, RunnerBatchBitIdenticalOnVsOff)
     metrics::setEnabled(false);
 
     ASSERT_EQ(on.size(), off.size());
-    for (std::size_t i = 0; i < off.size(); ++i) {
-        EXPECT_EQ(off[i].toJson(), on[i].toJson()) << off[i].label;
-        EXPECT_EQ(off[i].toCsvRow(), on[i].toCsvRow()) << off[i].label;
-    }
+    for (std::size_t i = 0; i < off.size(); ++i)
+        EXPECT_TRUE(testutil::sameSimulation(off[i], on[i])) << off[i].label;
 }
 
 // ---------------------------------------------------------------------

@@ -17,6 +17,7 @@
 
 #include "metrics/metrics.h"
 #include "runner/runner.h"
+#include "same_simulation.h"
 #include "sim/accelerator.h"
 #include "sim/engine.h"
 #include "sim/timeline.h"
@@ -434,25 +435,9 @@ TEST(Observability, InstrumentedRunIsBitIdenticalSerialAndParallel)
 
     ASSERT_EQ(observed.size(), baseline.size());
     for (size_t i = 0; i < baseline.size(); ++i) {
-        const auto &a = baseline[i];
-        const auto &b = observed[i];
-        EXPECT_EQ(a.seconds, b.seconds) << a.label;
-        EXPECT_EQ(a.energyJ, b.energyJ) << a.label;
-        EXPECT_EQ(a.powerW, b.powerW) << a.label;
-        EXPECT_EQ(a.energyStaticJ, b.energyStaticJ) << a.label;
-        EXPECT_EQ(a.energyHbmJ, b.energyHbmJ) << a.label;
-        EXPECT_EQ(a.stats.totalCycles, b.stats.totalCycles) << a.label;
-        EXPECT_EQ(a.stats.hbmBytes, b.stats.hbmBytes) << a.label;
-        EXPECT_EQ(a.stats.instCount, b.stats.instCount) << a.label;
-        for (int op = 0; op < isa::kNumHwOps; ++op) {
-            EXPECT_EQ(a.stats.opStats[op].cycles,
-                      b.stats.opStats[op].cycles) << a.label;
-            EXPECT_EQ(a.stats.opStats[op].count,
-                      b.stats.opStats[op].count) << a.label;
-        }
-        EXPECT_EQ(a.stats.stalls.hbmBound, b.stats.stalls.hbmBound);
-        EXPECT_EQ(a.stats.stalls.dependency, b.stats.stalls.dependency);
-        EXPECT_FALSE(timelines[i].empty()) << a.label;
+        EXPECT_TRUE(testutil::sameSimulation(baseline[i], observed[i]))
+            << baseline[i].label;
+        EXPECT_FALSE(timelines[i].empty()) << baseline[i].label;
     }
     // Progress emitted one line per job, machine-readable done/total,
     // with per-job wall clock and the result-memo flag ("off" here —

@@ -23,6 +23,7 @@
 #include "program_edit.h"
 #include "runner/runner.h"
 #include "runner/sweeps.h"
+#include "same_simulation.h"
 #include "sim/accelerator.h"
 #include "sim/timeline.h"
 #include "sim/ufc_perf.h"
@@ -36,6 +37,7 @@ using runner::Job;
 using runner::ProgramCache;
 using runner::RunnerConfig;
 using sim::UfcModel;
+using testutil::sameSimulation;
 
 TEST(ProgramCacheGaps, ConcurrentGetCompilesExactlyOnce)
 {
@@ -351,8 +353,7 @@ TEST(ProgramCacheGaps, RepeatOfferEdgeTripCounts)
 // ---------------------------------------------------------------------
 // Result memo: a hit is a copy of what a fresh run computes, relabelled.
 
-/** One job through runJob on `cache`; host time off so results compare
- *  byte for byte. */
+/** One job through runJob on `cache`. */
 struct MemoRun
 {
     sim::RunResult result;
@@ -362,28 +363,25 @@ struct MemoRun
 MemoRun
 runMemo(const Job &job, ProgramCache &cache)
 {
-    RunnerConfig cfg;
-    cfg.measureHostTime = false;
     MemoRun out;
-    ExperimentRunner(cfg).runJob(job, 0, out.result, out.outcome, &cache);
+    ExperimentRunner().runJob(job, 0, out.result, out.outcome, &cache);
     return out;
 }
 
-/** What an uncached run of `job` serializes to. */
-std::string
-freshJson(const Job &job)
+/** An uncached run of `job`. */
+sim::RunResult
+fresh(const Job &job)
 {
     sim::RunOptions opts = job.options;
     opts.label = job.label;
-    return job.model->run(*job.trace, opts).toJson();
+    return job.model->run(*job.trace, opts);
 }
 
 TEST(ResultMemo, BuiltinsBitIdentical)
 {
     // One cache across every builtin, run twice each: the first run
     // misses and stores, the second is served from the memo, and both
-    // serialize exactly like an uncached run (cycles, energy, per-op
-    // attribution and stall causes are all in the JSON).
+    // are the same simulation as an uncached run.
     const auto cp = ckks::CkksParams::c1();
     const auto tp = tfhe::TfheParams::t4();
     const auto ufc = std::make_shared<UfcModel>();
@@ -400,13 +398,13 @@ TEST(ResultMemo, BuiltinsBitIdentical)
 
     ProgramCache cache;
     for (const Job &job : jobs) {
-        const std::string fresh = freshJson(job);
+        const sim::RunResult uncached = fresh(job);
         const MemoRun cold = runMemo(job, cache);
         EXPECT_STREQ(cold.outcome.memo, "miss") << job.label;
-        EXPECT_EQ(cold.result.toJson(), fresh) << job.label;
+        EXPECT_TRUE(sameSimulation(cold.result, uncached)) << job.label;
         const MemoRun warm = runMemo(job, cache);
         EXPECT_STREQ(warm.outcome.memo, "hit") << job.label;
-        EXPECT_EQ(warm.result.toJson(), fresh) << job.label;
+        EXPECT_TRUE(sameSimulation(warm.result, uncached)) << job.label;
     }
     EXPECT_EQ(cache.resultHits(), jobs.size());
     EXPECT_EQ(cache.resultMisses(), jobs.size());
@@ -414,8 +412,8 @@ TEST(ResultMemo, BuiltinsBitIdentical)
 
 TEST(ResultMemo, RunParametersKeyTheMemo)
 {
-    // A different prefetch window, watchdog budget, verbosity or model
-    // instance is a different run: each misses, and each result equals
+    // A different prefetch window, watchdog budget or model instance is
+    // a different run: each misses, and each result equals
     // its own uncached run, never a neighbour's.
     const auto model = std::make_shared<UfcModel>();
     const auto tr = std::make_shared<const trace::Trace>(
@@ -428,21 +426,19 @@ TEST(ResultMemo, RunParametersKeyTheMemo)
     }
     jobs.push_back({"watchdog", model, tr, {}, ""});
     jobs.back().options.maxCycles = u64(1) << 40; // armed, never trips
-    jobs.push_back({"compact", model, tr, {}, ""});
-    jobs.back().options.verbosity = sim::StatsVerbosity::Compact;
     jobs.push_back({"twin", std::make_shared<UfcModel>(), tr, {}, ""});
 
     ProgramCache cache;
     for (const Job &job : jobs) {
         const MemoRun cold = runMemo(job, cache);
         EXPECT_STREQ(cold.outcome.memo, "miss") << job.label;
-        EXPECT_EQ(cold.result.toJson(), freshJson(job)) << job.label;
+        EXPECT_TRUE(sameSimulation(cold.result, fresh(job))) << job.label;
     }
     EXPECT_EQ(cache.resultHits(), 0u);
     for (const Job &job : jobs) {
         const MemoRun warm = runMemo(job, cache);
         EXPECT_STREQ(warm.outcome.memo, "hit") << job.label;
-        EXPECT_EQ(warm.result.toJson(), freshJson(job)) << job.label;
+        EXPECT_TRUE(sameSimulation(warm.result, fresh(job))) << job.label;
     }
 }
 
@@ -526,7 +522,7 @@ TEST(ResultMemo, FifoBoundEvicts)
     EXPECT_STREQ(runMemo(jobs[2], cache).outcome.memo, "hit");
     const MemoRun evicted = runMemo(jobs[0], cache);
     EXPECT_STREQ(evicted.outcome.memo, "miss");
-    EXPECT_EQ(evicted.result.toJson(), freshJson(jobs[0]));
+    EXPECT_TRUE(sameSimulation(evicted.result, fresh(jobs[0])));
     // Storing it again pushed out the next oldest.
     EXPECT_STREQ(runMemo(jobs[1], cache).outcome.memo, "miss");
 }
@@ -546,7 +542,7 @@ TEST(ResultMemo, HitCarriesRequestingLabel)
     const MemoRun hit = runMemo(second, cache);
     EXPECT_STREQ(hit.outcome.memo, "hit");
     EXPECT_EQ(hit.result.label, "second");
-    EXPECT_EQ(hit.result.toJson(), freshJson(second));
+    EXPECT_TRUE(sameSimulation(hit.result, fresh(second)));
     EXPECT_TRUE(hit.outcome.ok());
     EXPECT_TRUE(hit.outcome.boundsChecked);
     EXPECT_GE(hit.result.stats.totalCycles, hit.outcome.cyclesLower);
@@ -556,7 +552,7 @@ TEST(ResultMemo, HitCarriesRequestingLabel)
 TEST(ResultMemo, RacingIdenticalJobsAgree)
 {
     // Racing identical jobs may all miss and all store; the first store
-    // wins and every caller gets the same bytes.  Run under
+    // wins and every caller gets the same simulation.  Run under
     // -DUFC_SANITIZE=thread to certify the locking.
     const auto model = std::make_shared<UfcModel>();
     const auto tr = std::make_shared<const trace::Trace>(
@@ -564,18 +560,18 @@ TEST(ResultMemo, RacingIdenticalJobsAgree)
     const Job job{"race", model, tr, {}, ""};
     constexpr int kThreads = 4;
     ProgramCache cache;
-    std::vector<std::string> got(kThreads);
+    std::vector<sim::RunResult> got(kThreads);
     {
         std::vector<std::thread> pool;
         for (int t = 0; t < kThreads; ++t)
             pool.emplace_back(
-                [&, t] { got[t] = runMemo(job, cache).result.toJson(); });
+                [&, t] { got[t] = runMemo(job, cache).result; });
         for (auto &th : pool)
             th.join();
     }
-    const std::string fresh = freshJson(job);
-    for (const std::string &json : got)
-        EXPECT_EQ(json, fresh);
+    const sim::RunResult uncached = fresh(job);
+    for (const sim::RunResult &r : got)
+        EXPECT_TRUE(sameSimulation(r, uncached));
     EXPECT_EQ(cache.resultHits() + cache.resultMisses(), u64(kThreads));
     EXPECT_STREQ(runMemo(job, cache).outcome.memo, "hit");
 }
@@ -593,7 +589,7 @@ TEST(ResultMemo, IrModeBypassesMemo)
     for (int attempt = 0; attempt < 2; ++attempt) {
         const MemoRun run = runMemo(job, cache);
         EXPECT_STREQ(run.outcome.memo, "off");
-        EXPECT_EQ(run.result.toJson(), freshJson(job));
+        EXPECT_TRUE(sameSimulation(run.result, fresh(job)));
     }
     EXPECT_EQ(cache.resultHits() + cache.resultMisses(), 0u);
 }

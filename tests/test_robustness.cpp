@@ -24,6 +24,7 @@
 #include "common/fault.h"
 #include "runner/report.h"
 #include "runner/runner.h"
+#include "same_simulation.h"
 #include "trace/serialize.h"
 #include "workloads/workloads.h"
 
@@ -90,21 +91,6 @@ expectTraceError(const std::string &text, const std::string &needle)
         EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
             << "message was: " << e.what();
     }
-}
-
-/** The simulated (host-independent) fields two runs must share bit-for-
- *  bit. */
-void
-expectIdenticalSimulated(const sim::RunResult &a, const sim::RunResult &b)
-{
-    EXPECT_EQ(a.label, b.label);
-    EXPECT_EQ(a.machine, b.machine);
-    EXPECT_EQ(a.workload, b.workload);
-    EXPECT_EQ(a.seconds, b.seconds);
-    EXPECT_EQ(a.energyJ, b.energyJ);
-    EXPECT_EQ(a.stats.totalCycles, b.stats.totalCycles);
-    EXPECT_EQ(a.stats.instCount, b.stats.instCount);
-    EXPECT_EQ(a.stats.hbmBytes, b.stats.hbmBytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -315,8 +301,9 @@ TEST(Robustness, FaultySweepMatchesCleanSweepAndReportsFailures)
         for (std::size_t i = 0; i < clean.size(); ++i) {
             ASSERT_TRUE(batch.outcomes[i].ok())
                 << batch.outcomes[i].message;
-            expectIdenticalSimulated(batch.results[i],
-                                     reference.results[i]);
+            EXPECT_TRUE(testutil::sameSimulation(batch.results[i],
+                                                 reference.results[i]))
+                << i;
         }
 
         // The three failures carry the expected typed kinds.

@@ -6,7 +6,7 @@
  */
 
 #include <algorithm>
-#include <bit>
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <set>
@@ -18,6 +18,7 @@
 #include "metrics/metrics.h"
 #include "runner/report.h"
 #include "runner/sweeps.h"
+#include "same_simulation.h"
 #include "workloads/workloads.h"
 
 namespace ufc {
@@ -29,50 +30,7 @@ using runner::ResultSet;
 using runner::RunnerConfig;
 using sim::RunOptions;
 using sim::RunResult;
-
-/** Everything except hostSeconds (host-side timing) must match exactly:
- *  the simulation itself is deterministic down to the last bit. */
-void
-expectBitIdentical(const RunResult &a, const RunResult &b)
-{
-    EXPECT_EQ(a.label, b.label);
-    EXPECT_EQ(a.machine, b.machine);
-    EXPECT_EQ(a.workload, b.workload);
-    EXPECT_EQ(a.seconds, b.seconds);
-    EXPECT_EQ(a.energyJ, b.energyJ);
-    EXPECT_EQ(a.powerW, b.powerW);
-    EXPECT_EQ(a.areaMm2, b.areaMm2);
-    EXPECT_EQ(a.stats.totalCycles, b.stats.totalCycles);
-    EXPECT_EQ(a.stats.hbmBytes, b.stats.hbmBytes);
-    EXPECT_EQ(a.stats.hbmBusyCycles, b.stats.hbmBusyCycles);
-    EXPECT_EQ(a.stats.spadHitBytes, b.stats.spadHitBytes);
-    EXPECT_EQ(a.stats.instCount, b.stats.instCount);
-    for (int i = 0; i < isa::kNumResources; ++i)
-        EXPECT_EQ(a.stats.busyCycles[i], b.stats.busyCycles[i]) << i;
-    EXPECT_EQ(a.energyStaticJ, b.energyStaticJ);
-    EXPECT_EQ(a.energyHbmJ, b.energyHbmJ);
-    for (int i = 0; i < isa::kNumHwOps; ++i) {
-        EXPECT_EQ(a.stats.opStats[i].count, b.stats.opStats[i].count) << i;
-        EXPECT_EQ(a.stats.opStats[i].cycles, b.stats.opStats[i].cycles)
-            << i;
-        EXPECT_EQ(a.stats.opStats[i].computeCycles,
-                  b.stats.opStats[i].computeCycles) << i;
-        EXPECT_EQ(a.stats.opStats[i].stallCycles,
-                  b.stats.opStats[i].stallCycles) << i;
-        EXPECT_EQ(a.stats.opStats[i].fillCycles,
-                  b.stats.opStats[i].fillCycles) << i;
-        EXPECT_EQ(a.stats.opStats[i].hbmBytes,
-                  b.stats.opStats[i].hbmBytes) << i;
-    }
-    EXPECT_EQ(a.stats.stalls.hbmBound, b.stats.stalls.hbmBound);
-    EXPECT_EQ(a.stats.stalls.dependency, b.stats.stalls.dependency);
-    EXPECT_EQ(a.stats.stalls.pipelineFill, b.stats.stalls.pipelineFill);
-    EXPECT_EQ(a.stats.stalls.spadSpillCycles,
-              b.stats.stalls.spadSpillCycles);
-    EXPECT_EQ(a.stats.stalls.spadWritebackBytes,
-              b.stats.stalls.spadWritebackBytes);
-    EXPECT_EQ(a.stats.stalls.spadEvictions, b.stats.stalls.spadEvictions);
-}
+using testutil::sameSimulation;
 
 /** A mixed sweep: 4 workloads across all 4 accelerator models (scheme
  *  constraints permitting) — the shape the determinism guarantee must
@@ -133,12 +91,12 @@ TEST(Runner, ParallelSweepMatchesSerialBitExactly)
     ASSERT_EQ(serial.size(), jobs.size());
     ASSERT_EQ(parallel.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i)
-        expectBitIdentical(serial[i], parallel[i]);
+        EXPECT_TRUE(sameSimulation(serial[i], parallel[i])) << i;
 
     // And a second parallel run reproduces the first.
     const auto again = ExperimentRunner(parCfg).run(jobs);
     for (std::size_t i = 0; i < jobs.size(); ++i)
-        expectBitIdentical(parallel[i], again[i]);
+        EXPECT_TRUE(sameSimulation(parallel[i], again[i])) << i;
 }
 
 TEST(Runner, ResultsComeBackInJobOrderWithLabels)
@@ -194,7 +152,7 @@ TEST(Runner, RunOptionsPrefetchWindowChangesSchedule)
     EXPECT_EQ(narrow.stats.hbmBytes, def.stats.hbmBytes);
 }
 
-TEST(Runner, RunOptionsLabelAndVerbosityArePropagated)
+TEST(Runner, RunOptionsLabelIsPropagatedAndCompactOmitsCounters)
 {
     const auto tp = tfhe::TfheParams::t1();
     const auto tr = workloads::pbsThroughput(tp, 16);
@@ -202,15 +160,15 @@ TEST(Runner, RunOptionsLabelAndVerbosityArePropagated)
 
     RunOptions opts;
     opts.label = "my-run";
-    opts.verbosity = sim::StatsVerbosity::Compact;
-    const auto r = model.run(tr, opts);
-    EXPECT_EQ(r.label, "my-run");
-
-    // Compact results omit the raw-counter block from both formats.
-    EXPECT_EQ(r.toJson().find("\"stats\""), std::string::npos);
-    const auto full = model.run(tr);
+    const auto full = model.run(tr, opts);
+    EXPECT_EQ(full.label, "my-run");
     EXPECT_NE(full.toJson().find("\"stats\""), std::string::npos);
     EXPECT_NE(full.toJson().find("\"utilization\""), std::string::npos);
+
+    // Compact results omit the raw-counter block from both formats.
+    RunResult compact = full;
+    compact.verbosity = sim::StatsVerbosity::Compact;
+    EXPECT_EQ(compact.toJson().find("\"stats\""), std::string::npos);
 }
 
 TEST(RunnerReport, CsvRowsMatchHeaderArity)
@@ -219,9 +177,8 @@ TEST(RunnerReport, CsvRowsMatchHeaderArity)
     const auto tr = workloads::pbsThroughput(tp, 16);
     const sim::UfcModel model;
     const auto full = model.run(tr);
-    RunOptions compactOpts;
-    compactOpts.verbosity = sim::StatsVerbosity::Compact;
-    const auto compact = model.run(tr, compactOpts);
+    RunResult compact = full;
+    compact.verbosity = sim::StatsVerbosity::Compact;
 
     const auto commas = [](const std::string &s) {
         return std::count(s.begin(), s.end(), ',');
@@ -229,6 +186,52 @@ TEST(RunnerReport, CsvRowsMatchHeaderArity)
     const auto header = sim::RunResult::csvHeader();
     EXPECT_EQ(commas(full.toCsvRow()), commas(header));
     EXPECT_EQ(commas(compact.toCsvRow()), commas(header));
+}
+
+TEST(RunnerReport, SimulatedDigestCoversEveryFieldButHostSeconds)
+{
+    RunResult r = sim::UfcModel().run(
+        workloads::pbsThroughput(tfhe::TfheParams::t1(), 16));
+    const u64 digest = r.simulatedDigest();
+    r.hostSeconds += 1.0;
+    EXPECT_EQ(r.simulatedDigest(), digest);
+
+    // One changed bit in any other field changes the digest.
+    std::vector<double *> reals = {
+        &r.seconds, &r.energyJ, &r.powerW, &r.areaMm2, &r.energyStaticJ,
+        &r.energyHbmJ, &r.stats.totalCycles, &r.stats.hbmBytes,
+        &r.stats.hbmBusyCycles, &r.stats.spadHitBytes,
+        &r.stats.stalls.hbmBound, &r.stats.stalls.dependency,
+        &r.stats.stalls.pipelineFill, &r.stats.stalls.spadSpillCycles,
+        &r.stats.stalls.spadWritebackBytes};
+    std::vector<u64 *> counts = {&r.stats.instCount,
+                                 &r.stats.stalls.spadEvictions};
+    for (double &v : r.stats.busyCycles)
+        reals.push_back(&v);
+    for (sim::OpStats &o : r.stats.opStats) {
+        reals.insert(reals.end(), {&o.cycles, &o.computeCycles,
+                                   &o.stallCycles, &o.fillCycles,
+                                   &o.hbmBytes});
+        counts.push_back(&o.count);
+    }
+    for (std::size_t i = 0; i < reals.size(); ++i) {
+        const double saved = *reals[i];
+        *reals[i] = std::nextafter(saved, saved + 1.0);
+        EXPECT_NE(r.simulatedDigest(), digest) << "real #" << i;
+        *reals[i] = saved;
+    }
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+        ++*counts[i];
+        EXPECT_NE(r.simulatedDigest(), digest) << "count #" << i;
+        --*counts[i];
+    }
+    for (std::string *s : {&r.label, &r.machine, &r.workload}) {
+        s->push_back('x');
+        EXPECT_NE(r.simulatedDigest(), digest) << *s;
+        s->pop_back();
+    }
+    r.verbosity = sim::StatsVerbosity::Compact;
+    EXPECT_NE(r.simulatedDigest(), digest);
 }
 
 TEST(RunnerReport, JsonReportCarriesSchemaAndAllRuns)
@@ -303,38 +306,6 @@ TEST(RunnerSweeps, PaperSweepsCoverAllFiguresWithUniqueLabels)
     EXPECT_EQ(sweeps[4].jobs.size(), 48u);
 }
 
-/** Digest over the bit pattern of every raw RunStats field. */
-u64
-statsDigest(const sim::RunStats &s)
-{
-    u64 h = trace::detail::kFnvOffset;
-    const auto mix = [&h](double v) {
-        trace::detail::mix64(h, std::bit_cast<u64>(v));
-    };
-    mix(s.totalCycles);
-    for (double d : s.busyCycles)
-        mix(d);
-    mix(s.hbmBytes);
-    mix(s.hbmBusyCycles);
-    mix(s.spadHitBytes);
-    trace::detail::mix64(h, s.instCount);
-    for (const sim::OpStats &op : s.opStats) {
-        trace::detail::mix64(h, op.count);
-        mix(op.cycles);
-        mix(op.computeCycles);
-        mix(op.stallCycles);
-        mix(op.fillCycles);
-        mix(op.hbmBytes);
-    }
-    mix(s.stalls.hbmBound);
-    mix(s.stalls.dependency);
-    mix(s.stalls.pipelineFill);
-    mix(s.stalls.spadSpillCycles);
-    mix(s.stalls.spadWritebackBytes);
-    trace::detail::mix64(h, s.stalls.spadEvictions);
-    return h;
-}
-
 TEST(RunnerSweeps, SharedLoweringsMatchPrivateCompilesBitExactly)
 {
     // The paper sweep lowers each (trace, lowering key) pair once: the
@@ -355,7 +326,6 @@ TEST(RunnerSweeps, SharedLoweringsMatchPrivateCompilesBitExactly)
     const u64 before = lowerings.value();
     RunnerConfig cfg;
     cfg.threads = 2;
-    cfg.measureHostTime = false;
     const auto batch = ExperimentRunner(cfg).runAll(jobs);
     const u64 performed = lowerings.value() - before;
     metrics::setEnabled(metricsWere);
@@ -368,11 +338,7 @@ TEST(RunnerSweeps, SharedLoweringsMatchPrivateCompilesBitExactly)
         opts.label = job.label;
         const RunResult priv =
             job.model->execute(job.model->compile(*job.trace), opts);
-        const RunResult &shared = batch.results[i];
-        EXPECT_EQ(shared.toJson(), priv.toJson()) << job.label;
-        EXPECT_EQ(statsDigest(shared.stats), statsDigest(priv.stats))
-            << job.label;
-        expectBitIdentical(shared, priv);
+        EXPECT_TRUE(sameSimulation(batch.results[i], priv)) << job.label;
     }
 }
 

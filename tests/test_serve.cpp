@@ -12,8 +12,9 @@
  *   ServeLifecycle    — a real daemon on an AF_UNIX socket: the soak
  *                       bit-identity to a serial runner, repeated
  *                       requests served from the result memo, backpressure
- *                       tiers with warm-spec admission, queue-covering
- *                       deadlines, drain under load, stop-cancels-queued
+ *                       tiers with warm-spec admission, the bounded trace
+ *                       cache, queue-covering deadlines, drain under
+ *                       load, stop-cancels-queued
  *   ServeInterruption — the runner's cancelFlag path and the
  *                       "interrupted" report marker (what sweep_all's
  *                       SIGINT handler produces)
@@ -262,7 +263,7 @@ TEST(ServeProtocol, OversizedPrefixThrowsOverloadWithoutReadingBody)
     ASSERT_EQ(4, ::send(sp.a, prefix, 4, 0));
     std::string payload;
     try {
-        serve::readFrame(sp.b, payload, serve::kDefaultMaxFrameBytes);
+        serve::readFrame(sp.b, payload);
         FAIL() << "oversized prefix must throw";
     } catch (const OverloadError &e) {
         EXPECT_EQ("OverloadError", e.kind());
@@ -410,10 +411,17 @@ TEST(ServeAdmission, Tier2ShedsColdCompilesOnly)
         ASSERT_TRUE(handle(server, submitReq(job)).getBool("ok"));
     EXPECT_EQ(2, server.degradeTier());
 
-    // Nothing ever completed, so every spec is cold: shed.
-    const JsonValue shed = handle(server, submitReq(job));
-    EXPECT_EQ(serve::kCodeShedCompile, errorCode(shed));
+    // A spec never admitted needs a fresh compile: shed.
+    JsonValue cold = JsonValue::makeObject();
+    cold.set("workload", JsonValue::makeString("helr"));
+    EXPECT_EQ(serve::kCodeShedCompile,
+              errorCode(handle(server, submitReq(cold))));
     EXPECT_EQ(1u, server.stats().shed);
+
+    // Another copy of an admitted spec shares its lowering and memo
+    // entry, so it is warm although no copy has run yet.
+    EXPECT_TRUE(handle(server, submitReq(job)).getBool("ok"));
+    EXPECT_EQ(4u, server.stats().submitted);
 }
 
 TEST(ServeAdmission, Tier1ShedsLintPreflight)
@@ -720,6 +728,75 @@ TEST(ServeLifecycle, WarmSpecsSurviveTier2AndFullQueueSheds)
     server.awaitDrained();
     EXPECT_EQ(6u, server.stats().completed); // warm + 4 held + warm2
     EXPECT_EQ(2u, server.stats().shed);
+}
+
+TEST(ServeLifecycle, BurstOfOneSpecIsAdmittedWhileItsFirstCopyRuns)
+{
+    // An idle daemon gets a burst of one spec: its first copy is still
+    // running when the queue reaches tier 2, and every later copy is
+    // admitted until the queue is full -- none is shed as a cold
+    // compile.
+    serve::ServeConfig cfg;
+    cfg.socketPath = uniqueSocketPath();
+    cfg.workers = 1;
+    cfg.queueCapacity = 4;
+    serve::Server server(cfg);
+    server.start();
+
+    serve::Client client;
+    client.connect(cfg.socketPath, 5);
+    const std::string text = smallTraceText(8);
+    JsonValue held = traceTextJob(text, "burst/held");
+    held.set("hold_ms", JsonValue::makeInt(1500));
+    ASSERT_TRUE(client.submit(held).getBool("ok"));
+    // Let the worker pop the held copy: the queue is empty again and
+    // stays that way until the hold ends.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+    std::vector<std::string> codes;
+    for (int i = 0; i < 6; ++i) {
+        const JsonValue resp =
+            client.submit(traceTextJob(text, "burst/" + std::to_string(i)));
+        codes.push_back(errorCode(resp));
+        if (codes.back() == serve::kCodeQueueFull)
+            break;
+    }
+    const std::vector<std::string> expected = {"", "", "", "",
+                                               serve::kCodeQueueFull};
+    EXPECT_EQ(expected, codes);
+
+    server.beginDrain();
+    server.awaitDrained();
+    EXPECT_EQ(5u, server.stats().completed);
+    EXPECT_EQ(1u, server.stats().shed);
+}
+
+TEST(ServeLifecycle, TraceCacheIsBoundedByProgramCacheBound)
+{
+    // Generated workload traces are cached per (workload, scale) under
+    // the programCacheMaxEntries bound, FIFO.
+    serve::ServeConfig cfg;
+    cfg.socketPath = uniqueSocketPath();
+    cfg.programCacheMaxEntries = 2;
+    serve::Server server(cfg);
+    server.start();
+
+    serve::Client client;
+    client.connect(cfg.socketPath, 5);
+    for (const int scale : {4, 8, 12}) {
+        JsonValue job = JsonValue::makeObject();
+        job.set("workload", JsonValue::makeString("pbs"));
+        job.set("scale", JsonValue::makeInt(scale));
+        const JsonValue sub = client.submit(job);
+        ASSERT_TRUE(sub.getBool("ok")) << sub.dump();
+        ASSERT_TRUE(client.waitResult(sub.getString("id")).getBool("ok"))
+            << scale;
+    }
+    const JsonValue h = client.health();
+    const JsonValue *caches = h.find("caches");
+    ASSERT_NE(nullptr, caches);
+    ASSERT_NE(nullptr, caches->find("trace_entries"));
+    EXPECT_EQ(2, caches->getInt("trace_entries"));
 }
 
 TEST(ServeLifecycle, DeadlineCoversQueueWait)
