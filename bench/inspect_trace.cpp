@@ -19,7 +19,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -150,25 +149,14 @@ try {
 
     const auto model = makeMachine(machine);
 
-    if (asBytecode && !tracePath.empty()) {
-        // Compile-only, straight off the file through the streaming
-        // reader (bounded memory; malformed files exit through the
-        // one-line diagnosis below like every other trace error).
-        std::ifstream is(tracePath);
-        UFC_EXPECT(is.good(), TraceError,
-                   "cannot open trace file " << tracePath);
-        std::ostringstream os;
-        compiler::disassemble(model->compileStream(is), os);
-        std::fputs(os.str().c_str(), stdout);
-        return 0;
-    }
-
     const trace::Trace tr = builtin.empty() ? trace::loadTrace(tracePath)
                                             : builtinTrace(builtin);
 
     if (asBytecode) {
         // Compile-only: disassemble the Program this machine would
-        // execute (composed machines print one section per chip).
+        // execute (composed machines print one section per chip).  A
+        // file goes through the same loadTrace() as every other mode,
+        // so a malformed one fails with the same diagnosis.
         std::ostringstream os;
         compiler::disassemble(model->compile(tr), os);
         std::fputs(os.str().c_str(), stdout);

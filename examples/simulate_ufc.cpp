@@ -58,7 +58,9 @@ main()
                    std::shared_ptr<const trace::Trace> tr) {
         jobs.push_back(runner::Job{.label = label,
                                    .model = std::move(model),
-                                   .trace = std::move(tr)});
+                                   .trace = std::move(tr),
+                                   .options = {},
+                                   .traceFile = {}});
     };
     add("boot/UFC", ufcm, boot);
     add("boot/SHARP", sharp, boot);

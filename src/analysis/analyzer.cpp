@@ -519,17 +519,6 @@ Analyzer::analyzeLowered(const Trace &tr,
 }
 
 DiagnosticReport
-Analyzer::analyzeLowered(const Trace &tr,
-                         const compiler::Program &program) const
-{
-    DiagnosticReport out = analyze(tr);
-    if (out.errorCount() > 0)
-        return out;
-    compiler::verifyProgram(program, out);
-    return out;
-}
-
-DiagnosticReport
 Analyzer::analyzeDataflow(const Trace &tr) const
 {
     DiagnosticReport out = analyze(tr);

@@ -99,19 +99,6 @@ class Analyzer
                    const compiler::LoweringOptions &opts) const;
 
     /**
-     * Bytecode-rule variant over an ALREADY-compiled Program: the
-     * trace-level passes plus compiler::verifyProgram on `program`,
-     * with no re-lowering — the pre-flight path for runs whose Program
-     * was bound from the runner's ProgramCache.  Unlike the LoweringOptions
-     * overload this cannot run the instruction-level VerifyingSink
-     * rules (they need a live lowering); the bytecode rules subsume
-     * the fusion/loop legality checks.
-     */
-    DiagnosticReport
-    analyzeLowered(const trace::Trace &tr,
-                   const compiler::Program &program) const;
-
-    /**
      * Trace-level passes plus the opt-in dataflow passes (level-flow,
      * rescale-discipline; see domains.h).  The dataflow passes only
      * run when the base report is error-free — a trace that fails
@@ -129,17 +116,6 @@ class Analyzer
     DiagnosticReport
     analyzeDataflow(const trace::Trace &tr,
                     const compiler::Program &program) const;
-
-    const std::vector<std::unique_ptr<Pass>> &passes() const
-    {
-        return passes_;
-    }
-
-    /** The opt-in dataflow passes (makeDataflowPasses()). */
-    const std::vector<std::unique_ptr<Pass>> &dataflowPasses() const
-    {
-        return dfPasses_;
-    }
 
   private:
     std::vector<std::unique_ptr<Pass>> passes_;

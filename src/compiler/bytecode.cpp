@@ -9,10 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <deque>
 #include <iomanip>
-#include <istream>
-#include <optional>
 #include <ostream>
 #include <sstream>
 #include <vector>
@@ -21,7 +18,6 @@
 #include "common/error.h"
 #include "metrics/metrics.h"
 #include "sim/engine.h"
-#include "trace/serialize.h"
 
 namespace ufc {
 namespace compiler {
@@ -405,165 +401,6 @@ lowerTrace(const trace::Trace &tr, const LoweringOptions &opts,
     lowering.run();
     builder.finish();
     countCompileStep(true);
-    return p;
-}
-
-namespace {
-
-/**
- * TraceSink chaining TraceReader -> Lowering -> ProgramBuilder: each
- * validated op lowers as soon as its line parses, so memory held is the
- * reader's partial line plus the marker queue — never the op vector.
- * Enforces the chunk-protocol restrictions documented on
- * lowerTraceStream (header first, markers before their ops).
- */
-class StreamingCompileSink final : public trace::TraceSink
-{
-  public:
-    StreamingCompileSink(LoweredProgram *out, const LoweringOptions &opts,
-                         const StreamOpCheck &opCheck)
-        : out_(out), opts_(opts), builder_(out), opCheck_(opCheck)
-    {
-    }
-
-    void
-    onHeader(const trace::Trace &header) override
-    {
-        UFC_EXPECT(!lowering_, TraceError,
-                   "streamed trace '"
-                       << header_.name
-                       << "': header line after op/phase lines (the "
-                          "streaming compiler derives lowering geometry "
-                          "from the header before the first op; "
-                          "re-serialize with writeTrace)");
-        header_ = header;
-    }
-
-    void
-    onPhase(const trace::PhaseMark &mark) override
-    {
-        hasher_.phase(mark);
-        ensureLowering();
-        UFC_EXPECT(mark.opIndex >= opIdx_, TraceError,
-                   "streamed trace '"
-                       << header_.name << "': phase marker for op "
-                       << mark.opIndex << " arrived after op "
-                       << (opIdx_ - 1)
-                       << " was already compiled (markers must precede "
-                          "their ops in a streamed trace)");
-        pending_.push_back(mark);
-    }
-
-    void
-    onOp(const trace::TraceOp &op) override
-    {
-        hasher_.op(op);
-        if (opCheck_)
-            opCheck_(header_, op);
-        ensureLowering();
-        while (!pending_.empty() && pending_.front().opIndex <= opIdx_) {
-            lowering_->streamMark(pending_.front());
-            pending_.pop_front();
-        }
-        lowering_->streamOp(op);
-        ++opIdx_;
-    }
-
-    void
-    onEnd(const trace::Trace &header) override
-    {
-        // A header line after the last op refires onHeader only at the
-        // next op/phase event, so catch the tail case here: geometry
-        // already fed the lowering and must not change silently.
-        if (lowering_) {
-            UFC_EXPECT(sameHeader(header, header_), TraceError,
-                       "streamed trace '"
-                           << header_.name
-                           << "': header line after op/phase lines (the "
-                              "streaming compiler derives lowering "
-                              "geometry from the header before the first "
-                              "op; re-serialize with writeTrace)");
-        } else {
-            header_ = header;
-        }
-        ensureLowering();
-        while (!pending_.empty()) {
-            lowering_->streamMark(pending_.front());
-            pending_.pop_front();
-        }
-        lowering_->finishStream();
-        builder_.finish();
-        out_->workload = header_.name;
-        hasher_.header(header_);
-        out_->traceHash = hasher_.finish();
-    }
-
-  private:
-    static bool
-    sameHeader(const trace::Trace &a, const trace::Trace &b)
-    {
-        return a.name == b.name && a.ckksRingDim == b.ckksRingDim &&
-               a.ckksLevels == b.ckksLevels &&
-               a.ckksSpecial == b.ckksSpecial &&
-               a.ckksDnum == b.ckksDnum &&
-               a.ckksLimbBits == b.ckksLimbBits &&
-               a.tfheRingDim == b.tfheRingDim &&
-               a.tfheLweDim == b.tfheLweDim &&
-               a.tfheGadgetLevels == b.tfheGadgetLevels &&
-               a.tfheKsLevels == b.tfheKsLevels &&
-               a.tfheLimbBits == b.tfheLimbBits &&
-               a.liveCiphertexts == b.liveCiphertexts;
-    }
-
-    void
-    ensureLowering()
-    {
-        if (lowering_)
-            return;
-        // header_ is a stable member: the Lowering keeps the pointer for
-        // its whole life (it reads liveCiphertexts per ctBuffer call).
-        lowering_.emplace(&header_, opts_, &builder_);
-    }
-
-    LoweredProgram *out_;
-    LoweringOptions opts_;
-    ProgramBuilder builder_;
-    StreamOpCheck opCheck_;
-    trace::Trace header_; ///< header fields only (ops/phases empty)
-    trace::ContentHasher hasher_;
-    std::optional<Lowering> lowering_;
-    std::deque<trace::PhaseMark> pending_; ///< marks not yet fired
-    u64 opIdx_ = 0;                        ///< ops lowered so far
-};
-
-} // namespace
-
-LoweredProgram
-lowerTraceStream(std::istream &is, const LoweringOptions &opts,
-                 analysis::DiagnosticReport *lint,
-                 const StreamOpCheck &opCheck, std::size_t chunkBytes,
-                 std::size_t *peakBufferedBytes)
-{
-    UFC_EXPECT(chunkBytes > 0, ConfigError,
-               "lowerTraceStream: chunkBytes must be positive");
-    LoweredProgram p;
-    LoweringOptions lopts = opts;
-    lopts.lint = lint;
-    StreamingCompileSink sink(&p, lopts, opCheck);
-    trace::TraceReader reader(&sink);
-    std::vector<char> chunk(chunkBytes);
-    while (!reader.done() && is) {
-        is.read(chunk.data(),
-                static_cast<std::streamsize>(chunk.size()));
-        const auto got = static_cast<std::size_t>(is.gcount());
-        if (got == 0)
-            break;
-        reader.feed(chunk.data(), got);
-    }
-    reader.finish();
-    countCompileStep(true);
-    if (peakBufferedBytes)
-        *peakBufferedBytes = reader.peakBufferedBytes();
     return p;
 }
 

@@ -8,14 +8,14 @@
  * walk through an unordered_map-backed scratchpad, and a deque-based
  * prefetch window.  Compilation now happens in two steps:
  *
- *   - lowering (lowerTrace / lowerTraceStream): the trace becomes a
- *     LoweredProgram, a dense array of 16-byte BcInst records with every
- *     operand buffer pre-resolved to a dense scratchpad slot, plus a
- *     per-Program table of the distinct instruction *shapes* (op,
- *     logDegree, batch, words, work, streamed bytes).  The lowering reads
- *     the trace and the LoweringOptions only, never a machine, so every
- *     machine whose options agree shares one (the runner's ProgramCache
- *     does exactly that across a sweep).
+ *   - lowering (lowerTrace): the trace becomes a LoweredProgram, a
+ *     dense array of 16-byte BcInst records with every operand buffer
+ *     pre-resolved to a dense scratchpad slot, plus a per-Program table
+ *     of the distinct instruction *shapes* (op, logDegree, batch, words,
+ *     work, streamed bytes).  The lowering reads the trace and the
+ *     LoweringOptions only, never a machine, so every machine whose
+ *     options agree shares one (the runner's ProgramCache does exactly
+ *     that across a sweep).
  *   - binding (bind): one MachinePerf evaluation per shape yields a cost
  *     row; a bound Program is the shared lowering plus those rows and the
  *     machine constants.  A few hundred shapes stand in for the
@@ -407,38 +407,6 @@ class ProgramBuilder : public isa::InstSink
 LoweredProgram lowerTrace(const trace::Trace &tr,
                           const LoweringOptions &opts,
                           analysis::DiagnosticReport *lint = nullptr);
-
-/** Per-op admission hook for lowerTraceStream (models that support a
- *  single scheme reject foreign ops here, with the same typed errors
- *  their whole-trace path throws).  Called before the op is lowered;
- *  `header` carries the trace parameters and name for diagnostics. */
-using StreamOpCheck = std::function<void(const trace::Trace &header,
-                                         const trace::TraceOp &op)>;
-
-/**
- * Lower a trace straight from its text stream in bounded memory: a
- * trace::TraceReader feeds each validated op/mark into the Lowering as
- * it parses, so the full op vector is never materialized — traces larger
- * than memory flow through.  The result is identical to
- * lowerTrace(readTrace(is), ...) for any stream writeTrace() produces.
- *
- * Chunk-protocol restrictions beyond the whole-file format (both throw
- * TraceError; writeTrace's canonical layout — header, then all phase
- * lines, then ops — never trips them):
- *   - header lines must precede the first op/phase line, since lowering
- *     geometry is derived from the header before the first op;
- *   - a phase marker for op i must arrive before op i's line (the
- *     lowering cannot retroactively open a region).
- *
- * `peakBufferedBytes`, when non-null, receives the reader's buffer
- * high-water mark (one partial line) so callers can assert boundedness.
- */
-LoweredProgram
-lowerTraceStream(std::istream &is, const LoweringOptions &opts,
-                 analysis::DiagnosticReport *lint = nullptr,
-                 const StreamOpCheck &opCheck = {},
-                 std::size_t chunkBytes = std::size_t(64) << 10,
-                 std::size_t *peakBufferedBytes = nullptr);
 
 /**
  * Cache key of a lowering geometry: every LoweringOptions field except

@@ -109,13 +109,11 @@ class Lowering
      *  run the verifier's end-of-stream checks). */
     void run();
 
-    // Streaming entry points: run() is the batch form of these three.
-    // A chunked trace reader delivers each event as it validates; the
-    // caller is responsible for the whole-trace ordering contract (a
-    // mark at opIndex i is streamed before op i).  The Trace passed to
-    // the constructor may be header-only (empty ops/phases): the
-    // lowering reads only the parameter header and liveCiphertexts.
+    /** Lower a single op (used recursively, e.g. repacking). */
+    void lowerOp(const trace::TraceOp &op);
 
+  private:
+    // The steps of run(): a mark at opIndex i is forwarded before op i.
     /** Forward one workload region marker to the sink. */
     void streamMark(const trace::PhaseMark &mark);
     /** Lower the next op, bracketed in its mnemonic phase. */
@@ -123,10 +121,6 @@ class Lowering
     /** End of stream: run the verifier's end-of-stream checks. */
     void finishStream();
 
-    /** Lower a single op (used recursively, e.g. repacking). */
-    void lowerOp(const trace::TraceOp &op);
-
-  private:
     // CKKS pieces.
     void ckksKeySwitch(int limbs, int polys, u64 keyBufferBase);
     void ckksMult(const trace::TraceOp &op);

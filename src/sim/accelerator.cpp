@@ -138,18 +138,6 @@ AcceleratorModel::run(const trace::Trace &tr, const RunOptions &opts) const
     return execute(compile(tr), opts);
 }
 
-compiler::Program
-AcceleratorModel::compileStream(std::istream &is,
-                                std::size_t chunkBytes) const
-{
-    // Whole-trace fallback for models that need a global view
-    // (ComposedModel's scheme partition).  The shim readTrace() already
-    // reads in chunks; the caller's chunkBytes only bounds streaming
-    // overrides, so it is unused here.
-    (void)chunkBytes;
-    return compile(trace::readTrace(is));
-}
-
 void
 ChipModel::admit(const trace::Trace &header, const trace::TraceOp &op) const
 {
@@ -198,19 +186,6 @@ ChipModel::compileShared(const trace::Trace &tr,
     // foreign trace through.
     admitAll(tr);
     return bind(lookup([&] { return lower(tr); }));
-}
-
-compiler::Program
-ChipModel::compileStream(std::istream &is, std::size_t chunkBytes) const
-{
-    // Per-op admission in place of admitAll(): same typed error and
-    // message, raised as soon as the foreign op streams in.
-    const compiler::StreamOpCheck check =
-        [this](const trace::Trace &header, const trace::TraceOp &op) {
-            admit(header, op);
-        };
-    return bind(share(compiler::lowerTraceStream(
-        is, loweringOptions(), nullptr, check, chunkBytes)));
 }
 
 RunResult

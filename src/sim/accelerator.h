@@ -18,9 +18,13 @@
  * lowering (compiler::LoweredProgram) and a cheap per-machine bind.
  * Models whose lowering options agree (loweringKey()) lower a trace
  * identically, so the runner lowers each (trace, key) pair once and
- * binds it per model (compileShared()).  `run(trace, opts)` remains as a convenience shim
- * over compile+execute — kept deprecated-but-tested for the figure
- * benches and external callers; new code should prefer the split API.
+ * binds it per model (compileShared()).  A trace file compiles the same
+ * way, as compile(trace::loadTrace(path)): the lowered Program is at
+ * least 60x the size of the op vector, so parsing the whole trace first
+ * costs no memory that matters.  `run(trace, opts)` remains as a
+ * convenience shim over compile+execute — kept deprecated-but-tested for
+ * the figure benches and external callers; new code should prefer the
+ * split API.
  * With RunOptions::execMode == ExecMode::TraceIr, run() instead takes
  * the legacy IR-interpreter path; both paths produce bit-identical
  * results (enforced by the bytecode differential test gate).
@@ -29,7 +33,6 @@
 #ifndef UFC_SIM_ACCELERATOR_H
 #define UFC_SIM_ACCELERATOR_H
 
-#include <cstddef>
 #include <memory>
 
 #include "baselines/sharp_perf.h"
@@ -38,7 +41,6 @@
 #include "compiler/lowering.h"
 #include "sim/cost_model.h"
 #include "sim/ufc_perf.h"
-#include "trace/serialize.h"
 
 namespace ufc {
 namespace sim {
@@ -88,21 +90,6 @@ class AcceleratorModel
         (void)lookup;
         return compile(tr);
     }
-
-    /**
-     * Streaming variant of compile(): parse, validate and lower the
-     * trace text chunk-by-chunk from `is` (see
-     * compiler::lowerTraceStream for the chunk-protocol contract).
-     * Single-chip models override this to never materialize the op
-     * vector, so traces larger than host memory compile in bounded
-     * space; the base implementation falls back to
-     * trace::readTrace + compile() for models that need a whole-trace
-     * view (ComposedModel's scheme partition).  Throws the same typed
-     * errors as compile() on the same inputs.
-     */
-    virtual compiler::Program
-    compileStream(std::istream &is,
-                  std::size_t chunkBytes = trace::kTraceReadChunk) const;
 
     /**
      * Execute a Program previously produced by this model's compile()
@@ -159,9 +146,6 @@ class ChipModel : public AcceleratorModel
     compiler::Program
     compileShared(const trace::Trace &tr,
                   const compiler::LoweringLookup &lookup) const override;
-    compiler::Program compileStream(
-        std::istream &is,
-        std::size_t chunkBytes = trace::kTraceReadChunk) const override;
     using AcceleratorModel::execute;
     RunResult execute(const compiler::Program &program,
                       const RunOptions &opts) const override;

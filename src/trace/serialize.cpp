@@ -116,13 +116,10 @@ constexpr u64 kMaxRingDim = u64(1) << 26;
 constexpr int kMaxSmallField = 1 << 20;  // levels/dnum/limbs/fanIn/...
 constexpr int kMaxCount = 1 << 30;       // batched op multiplicity
 
-} // namespace
+/// Bytes readTrace() hands the reader per feed().
+constexpr std::size_t kReadChunk = std::size_t(64) << 10;
 
-TraceReader::TraceReader(TraceSink *sink) : sink_(sink)
-{
-    UFC_EXPECT(sink != nullptr, ConfigError,
-               "TraceReader requires a sink");
-}
+} // namespace
 
 void
 TraceReader::feed(const char *data, std::size_t len)
@@ -189,14 +186,16 @@ TraceReader::finish()
     UFC_EXPECT(openPhases_ == 0, TraceError,
                "trace has " << openPhases_
                    << " unclosed phase region(s)");
-    while (!pendingMarkChecks_.empty() &&
-           pendingMarkChecks_.front() <= opsSeen_)
-        pendingMarkChecks_.pop_front();
-    UFC_EXPECT(pendingMarkChecks_.empty(), TraceError,
-               "phase marker index " << pendingMarkChecks_.front()
-                   << " past the end of the op stream (" << opsSeen_
+    // Markers are monotone in opIndex, so the first one past the op
+    // stream is the first offender in file order.
+    const std::size_t ops = tr_.ops.size();
+    const auto past = std::find_if(
+        tr_.phases.begin(), tr_.phases.end(),
+        [ops](const PhaseMark &m) { return m.opIndex > ops; });
+    UFC_EXPECT(past == tr_.phases.end(), TraceError,
+               "phase marker index " << past->opIndex
+                   << " past the end of the op stream (" << ops
                    << " ops)");
-    sink_->onEnd(header_);
 }
 
 void
@@ -238,59 +237,54 @@ TraceReader::processLine()
         if (sawName_)
             fail("duplicate 'trace' header line");
         sawName_ = true;
-        ss >> header_.name;
-        if (ss.fail() || header_.name.empty())
+        ss >> tr_.name;
+        if (ss.fail() || tr_.name.empty())
             fail("malformed trace-name line");
-        headerSent_ = false;
     } else if (tag == "ckks") {
         if (sawCkks_)
             fail("duplicate 'ckks' header line");
         sawCkks_ = true;
-        ss >> header_.ckksRingDim >> header_.ckksLevels >>
-            header_.ckksSpecial >> header_.ckksDnum >>
-            header_.ckksLimbBits;
+        ss >> tr_.ckksRingDim >> tr_.ckksLevels >> tr_.ckksSpecial >>
+            tr_.ckksDnum >> tr_.ckksLimbBits;
         if (ss.fail())
             fail("malformed ckks header line");
-        if (header_.ckksRingDim > kMaxRingDim ||
-            header_.ckksLevels < 0 ||
-            header_.ckksLevels > kMaxSmallField ||
-            header_.ckksSpecial < 0 ||
-            header_.ckksSpecial > kMaxSmallField ||
-            header_.ckksDnum < 0 || header_.ckksDnum > kMaxSmallField ||
-            header_.ckksLimbBits < 0 || header_.ckksLimbBits > 64)
+        if (tr_.ckksRingDim > kMaxRingDim ||
+            tr_.ckksLevels < 0 ||
+            tr_.ckksLevels > kMaxSmallField ||
+            tr_.ckksSpecial < 0 ||
+            tr_.ckksSpecial > kMaxSmallField ||
+            tr_.ckksDnum < 0 || tr_.ckksDnum > kMaxSmallField ||
+            tr_.ckksLimbBits < 0 || tr_.ckksLimbBits > 64)
             fail("ckks parameter out of range");
-        headerSent_ = false;
     } else if (tag == "tfhe") {
         if (sawTfhe_)
             fail("duplicate 'tfhe' header line");
         sawTfhe_ = true;
-        ss >> header_.tfheRingDim >> header_.tfheLweDim >>
-            header_.tfheGadgetLevels >> header_.tfheKsLevels >>
-            header_.tfheLimbBits;
+        ss >> tr_.tfheRingDim >> tr_.tfheLweDim >>
+            tr_.tfheGadgetLevels >> tr_.tfheKsLevels >>
+            tr_.tfheLimbBits;
         if (ss.fail())
             fail("malformed tfhe header line");
-        if (header_.tfheRingDim > kMaxRingDim ||
-            header_.tfheLweDim > kMaxRingDim ||
-            header_.tfheGadgetLevels < 0 ||
-            header_.tfheGadgetLevels > kMaxSmallField ||
-            header_.tfheKsLevels < 0 ||
-            header_.tfheKsLevels > kMaxSmallField ||
-            header_.tfheLimbBits < 0 || header_.tfheLimbBits > 64)
+        if (tr_.tfheRingDim > kMaxRingDim ||
+            tr_.tfheLweDim > kMaxRingDim ||
+            tr_.tfheGadgetLevels < 0 ||
+            tr_.tfheGadgetLevels > kMaxSmallField ||
+            tr_.tfheKsLevels < 0 ||
+            tr_.tfheKsLevels > kMaxSmallField ||
+            tr_.tfheLimbBits < 0 || tr_.tfheLimbBits > 64)
             fail("tfhe parameter out of range");
-        headerSent_ = false;
     } else if (tag == "live") {
         if (sawLive_)
             fail("duplicate 'live' header line");
         sawLive_ = true;
-        ss >> header_.liveCiphertexts;
-        if (ss.fail() || header_.liveCiphertexts < 0 ||
-            header_.liveCiphertexts > kMaxSmallField)
+        ss >> tr_.liveCiphertexts;
+        if (ss.fail() || tr_.liveCiphertexts < 0 ||
+            tr_.liveCiphertexts > kMaxSmallField)
             fail("malformed live-ciphertexts line");
-        headerSent_ = false;
     } else if (tag == "phase") {
         if (version_ < 3)
             fail("phase markers require trace format v3");
-        if (phasesSeen_ >= kMaxPhases)
+        if (tr_.phases.size() >= kMaxPhases)
             fail("too many phase markers");
         std::string kind;
         PhaseMark mark;
@@ -309,9 +303,9 @@ TraceReader::processLine()
         if (mark.begin && line == lastPhaseLine_)
             fail("duplicate phase marker");
         lastPhaseLine_ = line;
-        if (phasesSeen_ > 0 && mark.opIndex < lastPhaseOp_)
+        if (!tr_.phases.empty() &&
+            mark.opIndex < tr_.phases.back().opIndex)
             fail("phase markers out of order");
-        lastPhaseOp_ = mark.opIndex;
         if (mark.begin) {
             ++openPhases_;
         } else {
@@ -319,16 +313,9 @@ TraceReader::processLine()
                 fail("phase 'end' without an open region");
             --openPhases_;
         }
-        ++phasesSeen_;
-        if (mark.opIndex > opsSeen_)
-            pendingMarkChecks_.push_back(mark.opIndex);
-        if (!headerSent_) {
-            headerSent_ = true;
-            sink_->onHeader(header_);
-        }
-        sink_->onPhase(mark);
+        tr_.phases.push_back(std::move(mark));
     } else if (tag == "op") {
-        if (opsSeen_ >= kMaxOps)
+        if (tr_.ops.size() >= kMaxOps)
             fail("too many ops");
         std::string mnemonic;
         TraceOp op{};
@@ -342,15 +329,7 @@ TraceReader::processLine()
             op.fanIn < 0 || op.fanIn > kMaxSmallField ||
             op.keyId < 0 || op.keyId > kMaxCount)
             fail("op field out of range");
-        ++opsSeen_;
-        while (!pendingMarkChecks_.empty() &&
-               pendingMarkChecks_.front() <= opsSeen_)
-            pendingMarkChecks_.pop_front();
-        if (!headerSent_) {
-            headerSent_ = true;
-            sink_->onHeader(header_);
-        }
-        sink_->onOp(op);
+        tr_.ops.push_back(op);
     } else if (tag == "end") {
         done_ = true;
     } else {
@@ -358,53 +337,11 @@ TraceReader::processLine()
     }
 }
 
-void
-TraceBuildSink::copyHeader(const Trace &header)
-{
-    tr_.name = header.name;
-    tr_.ckksRingDim = header.ckksRingDim;
-    tr_.ckksLevels = header.ckksLevels;
-    tr_.ckksSpecial = header.ckksSpecial;
-    tr_.ckksDnum = header.ckksDnum;
-    tr_.ckksLimbBits = header.ckksLimbBits;
-    tr_.tfheRingDim = header.tfheRingDim;
-    tr_.tfheLweDim = header.tfheLweDim;
-    tr_.tfheGadgetLevels = header.tfheGadgetLevels;
-    tr_.tfheKsLevels = header.tfheKsLevels;
-    tr_.tfheLimbBits = header.tfheLimbBits;
-    tr_.liveCiphertexts = header.liveCiphertexts;
-}
-
-void
-TraceBuildSink::onHeader(const Trace &header)
-{
-    copyHeader(header);
-}
-
-void
-TraceBuildSink::onPhase(const PhaseMark &mark)
-{
-    tr_.phases.push_back(mark);
-}
-
-void
-TraceBuildSink::onOp(const TraceOp &op)
-{
-    tr_.ops.push_back(op);
-}
-
-void
-TraceBuildSink::onEnd(const Trace &header)
-{
-    copyHeader(header);
-}
-
 Trace
 readTrace(std::istream &is)
 {
-    TraceBuildSink sink;
-    TraceReader reader(&sink);
-    std::vector<char> chunk(kTraceReadChunk);
+    TraceReader reader;
+    std::vector<char> chunk(kReadChunk);
     while (!reader.done() && is) {
         is.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
         const auto got = static_cast<std::size_t>(is.gcount());
@@ -413,7 +350,7 @@ readTrace(std::istream &is)
         reader.feed(chunk.data(), got);
     }
     reader.finish();
-    return sink.take();
+    return reader.take();
 }
 
 void

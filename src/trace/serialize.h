@@ -12,7 +12,6 @@
 #define UFC_TRACE_SERIALIZE_H
 
 #include <cstddef>
-#include <deque>
 #include <iosfwd>
 #include <string>
 
@@ -42,82 +41,39 @@ inline constexpr int kTraceMinReadVersion = 2;
 void writeTrace(const Trace &tr, std::ostream &os);
 
 /**
- * Event consumer for the chunked TraceReader.  Callbacks fire in stream
- * order as soon as each line validates; references passed in are only
- * valid for the duration of the call.
- */
-class TraceSink
-{
-  public:
-    virtual ~TraceSink() = default;
-    /**
-     * Fired once before the first op/phase/end event with the header
-     * fields parsed so far, and fired again (updated header) if a
-     * later header line arrives — legal in the whole-file format,
-     * where header lines may appear anywhere before 'end'.  Sinks
-     * that need the complete header up front (the streaming compiler)
-     * treat a re-fire after ops as an error.
-     */
-    virtual void
-    onHeader(const Trace &header)
-    {
-        (void)header;
-    }
-    /** Next phase mark of the mark stream (validated). */
-    virtual void onPhase(const PhaseMark &mark) = 0;
-    /** Next op of the op stream (validated). */
-    virtual void onOp(const TraceOp &op) = 0;
-    /** 'end' marker seen and all end-of-stream checks passed; `header`
-     *  carries the final header fields. */
-    virtual void
-    onEnd(const Trace &header)
-    {
-        (void)header;
-    }
-};
-
-/** Default chunk size for the readTrace()/loadTrace() shims. */
-inline constexpr std::size_t kTraceReadChunk = std::size_t(64) << 10;
-
-/**
- * Bounded-memory chunked trace parser (the whole-file readTrace() is a
- * shim over it).  Feed byte chunks of any size — down to one byte — and
- * events stream out through the TraceSink as each line completes; the
- * reader never materializes the op vector.  All whole-file validation
- * applies per-line with byte-identical TraceError messages; checks that
+ * Chunked trace parser behind readTrace().  Feed byte chunks of any
+ * size — down to one byte — and each line is validated and appended to
+ * the reader's Trace as soon as it completes; take() hands the trace out
+ * after finish().  All whole-file validation applies per line with
+ * byte-identical TraceError messages at every chunk size; checks that
  * need the end of the stream (missing 'end', unclosed regions, marker
  * indices past the op stream) fire in finish().
  *
- * Memory held by the reader is one partial line (≤ the longest line in
- * the stream; hostile over-long lines are still buffered whole so the
- * "trace line too long" diagnosis can quote them exactly as the
- * whole-file parser does) plus the pending-marker index queue, bounded
- * by the kMaxPhases guard rail.  peakBufferedBytes() reports the
- * high-water mark of the line buffer for tests asserting boundedness.
+ * Besides the trace, the reader buffers one partial line (≤ the longest
+ * line in the stream; hostile over-long lines are still buffered whole
+ * so the "trace line too long" diagnosis can quote them exactly).
+ * peakBufferedBytes() reports the high-water mark of that buffer.
  */
 class TraceReader
 {
   public:
-    explicit TraceReader(TraceSink *sink);
-
     /** Consume the next chunk of the stream. */
     void feed(const char *data, std::size_t len);
     /** End of input: process any unterminated final line, then run the
-     *  end-of-stream checks and fire onEnd. */
+     *  end-of-stream checks. */
     void finish();
     /** True once the 'end' marker validated; further input is ignored,
      *  exactly as the whole-file parser stops reading at 'end'. */
     bool done() const { return done_; }
     /** High-water mark of bytes buffered across feed() calls. */
     std::size_t peakBufferedBytes() const { return peakBuffered_; }
-    /** Header fields parsed so far (final after finish()). */
-    const Trace &header() const { return header_; }
+    /** Move the parsed trace out (valid after finish()). */
+    Trace take() { return std::move(tr_); }
 
   private:
     void processLine();
 
-    TraceSink *sink_;
-    Trace header_; ///< header fields only; ops/phases stay empty
+    Trace tr_;
     std::string line_;
     std::size_t peakBuffered_ = 0;
     std::size_t lineNo_ = 0;
@@ -125,35 +81,12 @@ class TraceReader
     bool done_ = false;
     bool finished_ = false;
     bool sawMagic_ = false;
-    bool headerSent_ = false;
     bool sawName_ = false, sawCkks_ = false, sawTfhe_ = false,
          sawLive_ = false;
     int openPhases_ = 0;
-    u64 lastPhaseOp_ = 0;
     std::string lastPhaseLine_;
-    std::size_t opsSeen_ = 0;
-    std::size_t phasesSeen_ = 0;
-    /// Marker opIndexes not yet covered by the op stream, in file
-    /// order; whatever survives at finish() is reported exactly as the
-    /// whole-file parser's first-offender check.
-    std::deque<u64> pendingMarkChecks_;
 };
 
-/** TraceSink that rebuilds the full Trace (the readTrace shim). */
-class TraceBuildSink final : public TraceSink
-{
-  public:
-    void onHeader(const Trace &header) override;
-    void onPhase(const PhaseMark &mark) override;
-    void onOp(const TraceOp &op) override;
-    void onEnd(const Trace &header) override;
-    /** Move the rebuilt trace out (valid after TraceReader::finish). */
-    Trace take() { return std::move(tr_); }
-
-  private:
-    void copyHeader(const Trace &header);
-    Trace tr_;
-};
 /**
  * Parse a trace from the text format.  Every read is bounds-checked;
  * truncated, corrupt, out-of-range or duplicate-marker input throws

@@ -52,69 +52,44 @@ Trace::endPhase()
     phases.push_back(PhaseMark{ops.size(), std::string(), false});
 }
 
-void
-ContentHasher::header(const Trace &tr)
-{
-    using detail::fnvMix;
-    head_ = detail::kFnvOffset;
-    fnvMix(head_, tr.name);
-    fnvMix(head_, tr.ckksRingDim);
-    fnvMix(head_, static_cast<u64>(tr.ckksLevels));
-    fnvMix(head_, static_cast<u64>(tr.ckksSpecial));
-    fnvMix(head_, static_cast<u64>(tr.ckksDnum));
-    fnvMix(head_, static_cast<u64>(tr.ckksLimbBits));
-    fnvMix(head_, tr.tfheRingDim);
-    fnvMix(head_, static_cast<u64>(tr.tfheLweDim));
-    fnvMix(head_, static_cast<u64>(tr.tfheGadgetLevels));
-    fnvMix(head_, static_cast<u64>(tr.tfheKsLevels));
-    fnvMix(head_, static_cast<u64>(tr.tfheLimbBits));
-    fnvMix(head_, static_cast<u64>(tr.liveCiphertexts));
-}
-
-void
-ContentHasher::op(const TraceOp &op)
-{
-    using detail::fnvMix;
-    fnvMix(ops_, static_cast<u64>(op.kind));
-    fnvMix(ops_, static_cast<u64>(op.limbs));
-    fnvMix(ops_, static_cast<u64>(op.count));
-    fnvMix(ops_, static_cast<u64>(op.fanIn));
-    fnvMix(ops_, static_cast<u64>(op.keyId));
-    ++opCount_;
-}
-
-void
-ContentHasher::phase(const PhaseMark &mark)
-{
-    using detail::fnvMix;
-    fnvMix(phases_, mark.opIndex);
-    fnvMix(phases_, mark.name);
-    fnvMix(phases_, static_cast<u64>(mark.begin ? 1 : 0));
-    ++phaseCount_;
-}
-
-u64
-ContentHasher::finish() const
-{
-    using detail::fnvMix;
-    u64 h = head_;
-    fnvMix(h, ops_);
-    fnvMix(h, opCount_);
-    fnvMix(h, phases_);
-    fnvMix(h, phaseCount_);
-    return h;
-}
-
 u64
 contentHash(const Trace &tr)
 {
-    ContentHasher hasher;
-    hasher.header(tr);
-    for (const auto &op : tr.ops)
-        hasher.op(op);
-    for (const auto &mark : tr.phases)
-        hasher.phase(mark);
-    return hasher.finish();
+    // The header, the op stream and the phase marks hash into three
+    // independent FNV-1a states, combined with their element counts.
+    using detail::fnvMix;
+    u64 h = detail::kFnvOffset;
+    fnvMix(h, tr.name);
+    fnvMix(h, tr.ckksRingDim);
+    fnvMix(h, static_cast<u64>(tr.ckksLevels));
+    fnvMix(h, static_cast<u64>(tr.ckksSpecial));
+    fnvMix(h, static_cast<u64>(tr.ckksDnum));
+    fnvMix(h, static_cast<u64>(tr.ckksLimbBits));
+    fnvMix(h, tr.tfheRingDim);
+    fnvMix(h, static_cast<u64>(tr.tfheLweDim));
+    fnvMix(h, static_cast<u64>(tr.tfheGadgetLevels));
+    fnvMix(h, static_cast<u64>(tr.tfheKsLevels));
+    fnvMix(h, static_cast<u64>(tr.tfheLimbBits));
+    fnvMix(h, static_cast<u64>(tr.liveCiphertexts));
+    u64 ops = detail::kFnvOffset;
+    for (const TraceOp &op : tr.ops) {
+        fnvMix(ops, static_cast<u64>(op.kind));
+        fnvMix(ops, static_cast<u64>(op.limbs));
+        fnvMix(ops, static_cast<u64>(op.count));
+        fnvMix(ops, static_cast<u64>(op.fanIn));
+        fnvMix(ops, static_cast<u64>(op.keyId));
+    }
+    u64 phases = detail::kFnvOffset;
+    for (const PhaseMark &mark : tr.phases) {
+        fnvMix(phases, mark.opIndex);
+        fnvMix(phases, mark.name);
+        fnvMix(phases, static_cast<u64>(mark.begin ? 1 : 0));
+    }
+    fnvMix(h, ops);
+    fnvMix(h, static_cast<u64>(tr.ops.size()));
+    fnvMix(h, phases);
+    fnvMix(h, static_cast<u64>(tr.phases.size()));
+    return h;
 }
 
 std::vector<PhaseRegion>

@@ -205,34 +205,6 @@ mix64(u64 &h, u64 v)
 } // namespace detail
 
 /**
- * Incremental form of contentHash() for streaming readers: the header,
- * the op stream and the phase marks accumulate into three independent
- * FNV-1a states, combined (with element counts) at finish().  Ops and
- * marks may therefore arrive in any interleaving relative to each
- * other — only their per-stream order matters — which is exactly what a
- * chunked TraceReader delivers.
- */
-class ContentHasher
-{
-  public:
-    /** Fold in the header fields (name, parameters, live set). */
-    void header(const Trace &tr);
-    /** Fold in the next op of the op stream. */
-    void op(const TraceOp &op);
-    /** Fold in the next phase mark of the mark stream. */
-    void phase(const PhaseMark &mark);
-    /** Combine the three accumulators into the final hash. */
-    u64 finish() const;
-
-  private:
-    u64 head_ = detail::kFnvOffset;
-    u64 ops_ = detail::kFnvOffset;
-    u64 phases_ = detail::kFnvOffset;
-    u64 opCount_ = 0;
-    u64 phaseCount_ = 0;
-};
-
-/**
  * FNV-1a content hash over everything that influences a lowering: the
  * name (stamped into results), the parameter header, the op stream and
  * the phase marks.  Two traces with equal hashes lower to the same

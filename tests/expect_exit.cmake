@@ -5,7 +5,10 @@
 #
 # Usage:
 #   cmake -DCMD=<binary> -DARGS=<;-separated args> -DEXPECTED=<code>
-#         [-DWORKDIR=<dir>] -P expect_exit.cmake
+#         [-DWORKDIR=<dir>] [-DSTDERR_REGEX=<regex>] -P expect_exit.cmake
+#
+# STDERR_REGEX, when given, must also match the command's stderr, so a
+# test can pin which diagnosis a failing command prints.
 if(NOT DEFINED CMD OR NOT DEFINED EXPECTED)
     message(FATAL_ERROR "expect_exit.cmake needs -DCMD and -DEXPECTED")
 endif()
@@ -27,4 +30,9 @@ if(NOT rv EQUAL ${EXPECTED})
     message(FATAL_ERROR
         "'${CMD} ${ARGS}' exited with '${rv}', expected ${EXPECTED}\n"
         "--- stdout ---\n${out}\n--- stderr ---\n${err}")
+endif()
+if(DEFINED STDERR_REGEX AND NOT err MATCHES "${STDERR_REGEX}")
+    message(FATAL_ERROR
+        "'${CMD} ${ARGS}' stderr does not match '${STDERR_REGEX}'\n"
+        "--- stderr ---\n${err}")
 endif()

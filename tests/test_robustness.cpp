@@ -11,6 +11,7 @@
  * the three failures in structured output, and makes the batch non-ok.
  */
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -64,17 +65,24 @@ serialized(const Trace &tr)
     return ss.str();
 }
 
-std::string
-writeTempFile(const std::string &name, const std::string &text)
+/** A file under the test temp dir, removed when the test ends. */
+struct TempFile
 {
-    // Per-process name: ctest runs this binary concurrently.
-    const std::string path =
-        testing::TempDir() + std::to_string(::getpid()) + "_" + name;
-    std::ofstream os(path);
-    os << text;
-    EXPECT_TRUE(os.good()) << path;
-    return path;
-}
+    TempFile(const std::string &name, const std::string &text)
+        // Per-process name: ctest runs this binary concurrently.
+        : path(testing::TempDir() + std::to_string(::getpid()) + "_" +
+               name)
+    {
+        std::ofstream os(path);
+        os << text;
+        EXPECT_TRUE(os.good()) << path;
+    }
+    ~TempFile() { std::remove(path.c_str()); }
+    TempFile(const TempFile &) = delete;
+    TempFile &operator=(const TempFile &) = delete;
+
+    const std::string path;
+};
 
 /** Expect readTrace(text) to throw TraceError whose message contains
  *  `needle`. */
@@ -269,10 +277,10 @@ TEST(Robustness, FaultySweepMatchesCleanSweepAndReportsFailures)
     // The faulty batch: clean jobs plus three poisoned ones.
     std::vector<Job> faulty = clean;
 
-    const std::string corruptPath = writeTempFile(
+    const TempFile corruptFile(
         "ufc_corrupt.ufctrace",
         "xfctrace 3\n" + serialized(smallTrace("c", 4, 1)).substr(11));
-    Job corrupt{"bad/corrupt-trace", model, nullptr, {}, corruptPath};
+    Job corrupt{"bad/corrupt-trace", model, nullptr, {}, corruptFile.path};
     faulty.push_back(corrupt);
 
     Job badOpts{"bad/run-options", model,

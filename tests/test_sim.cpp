@@ -199,6 +199,23 @@ TEST(Accelerators, SharpRejectsTfheTraces)
     // A scheme/machine mismatch is user input, so it must surface as a
     // recoverable ConfigError rather than a process abort.
     EXPECT_THROW({ sharp.run(tr); }, ConfigError);
+    EXPECT_THROW({ sharp.compile(tr); }, ConfigError);
+}
+
+TEST(Accelerators, StrixRejectsCkksTraces)
+{
+    StrixModel strix;
+    const auto tr = workloads::helr(ckks::CkksParams::c1(), 2);
+    try {
+        strix.compile(tr);
+        FAIL() << "Strix compiled a CKKS trace";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("trace '" + tr.name +
+                                             "' contains non-TFHE ops"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW({ strix.run(tr); }, ConfigError);
 }
 
 TEST(CostModel, AreaMatchesPaperTotals)

@@ -1,11 +1,11 @@
 /**
  * @file
- * Chunk-boundary property tests for the streaming trace reader: the
- * chunked TraceReader must be byte-for-byte equivalent to the
- * whole-file readTrace() at *every* chunk size — same rebuilt Trace on
- * valid input, same typed TraceError (same message) on malformed input
- * — and its memory must stay bounded by the chunk size while a trace
- * far larger than that bound flows through compile + execute.
+ * Chunk-boundary property tests for the chunked trace reader: the
+ * TraceReader must be byte-for-byte equivalent to the whole-file
+ * readTrace() at *every* chunk size — same rebuilt Trace on valid
+ * input, same typed TraceError (same message) on malformed input — and
+ * its line buffer must stay bounded by the chunk size while a trace far
+ * larger than that bound flows through it.
  */
 
 #include <filesystem>
@@ -18,9 +18,6 @@
 
 #include "common/error.h"
 #include "common/fault.h"
-#include "compiler/bytecode.h"
-#include "sim/accelerator.h"
-#include "sim/ufc_perf.h"
 #include "trace/serialize.h"
 #include "workloads/workloads.h"
 
@@ -37,14 +34,13 @@ constexpr std::size_t kChunkSizes[] = {1, 2, 3, 7, 64, 4096};
 Trace
 readChunked(const std::string &text, std::size_t chunk)
 {
-    trace::TraceBuildSink sink;
-    trace::TraceReader reader(&sink);
+    trace::TraceReader reader;
     for (std::size_t off = 0; off < text.size() && !reader.done();
          off += chunk)
         reader.feed(text.data() + off,
                     std::min(chunk, text.size() - off));
     reader.finish();
-    return sink.take();
+    return reader.take();
 }
 
 /** Canonical bytes of a trace (field-exact comparison proxy). */
@@ -155,10 +151,9 @@ TEST(TraceStreaming, FuzzedCorpusSameOutcomeStreamedAsWhole)
 
 TEST(TraceStreaming, ReaderMemoryBoundedByChunkSize)
 {
-    // A trace far larger than the reader bound must flow through
-    // compile + execute with the reader never buffering more than one
-    // line (<= the chunk size here), and the streamed compile must be
-    // observable-identical to the whole-trace path.  Builtins batch
+    // A trace far larger than the chunk size must flow through the
+    // reader with it never buffering more than one line (<= the chunk
+    // size here), and come out equal to the original.  Builtins batch
     // their ops into few lines, so build a wide one op-per-line trace.
     Trace big;
     big.name = "streaming_big";
@@ -173,88 +168,17 @@ TEST(TraceStreaming, ReaderMemoryBoundedByChunkSize)
     ASSERT_GT(text.size(), 64 * kChunk)
         << "trace too small to exercise the memory bound";
 
-    const sim::UfcModel model;
-    std::size_t peak = 0;
-    std::istringstream is(text);
-    const compiler::Program streamed =
-        model.bind(std::make_shared<const compiler::LoweredProgram>(
-            compiler::lowerTraceStream(is, model.loweringOptions(),
-                                       /*lint=*/nullptr, /*opCheck=*/{},
-                                       kChunk, &peak)));
-    EXPECT_LE(peak, kChunk);
-    EXPECT_GT(peak, 0u);
+    trace::TraceReader reader;
+    for (std::size_t off = 0; off < text.size(); off += kChunk)
+        reader.feed(text.data() + off,
+                    std::min(kChunk, text.size() - off));
+    reader.finish();
+    EXPECT_LE(reader.peakBufferedBytes(), kChunk);
+    EXPECT_GT(reader.peakBufferedBytes(), 0u);
 
-    const sim::RunResult viaStream = model.execute(streamed);
-    const sim::RunResult viaWhole = model.run(big);
-    EXPECT_EQ(viaStream.toJson(), viaWhole.toJson());
-}
-
-TEST(TraceStreaming, ModelCompileStreamMatchesCompile)
-{
-    // Every model's compileStream must produce the same Program its
-    // whole-trace compile() does (disassembly is a full structural
-    // dump).
-    const auto cp = ckks::CkksParams::c1();
-    const auto tp = tfhe::TfheParams::t4();
-    struct Case
-    {
-        std::unique_ptr<sim::AcceleratorModel> model;
-        Trace tr;
-    };
-    std::vector<Case> cases;
-    cases.push_back({std::make_unique<sim::UfcModel>(),
-                     workloads::ckksBootstrapping(cp)});
-    cases.push_back({std::make_unique<sim::SharpModel>(),
-                     workloads::helr(cp, 2)});
-    cases.push_back({std::make_unique<sim::StrixModel>(),
-                     workloads::pbsThroughput(tp, 16)});
-    cases.push_back({std::make_unique<sim::UfcModel>(),
-                     workloads::hybridKnn(cp, tp, 64)});
-    for (const Case &c : cases) {
-        const std::string text = canon(c.tr);
-        std::istringstream is(text);
-        std::ostringstream viaStream;
-        compiler::disassemble(c.model->compileStream(is), viaStream);
-        std::ostringstream viaWhole;
-        compiler::disassemble(c.model->compile(c.tr), viaWhole);
-        EXPECT_EQ(viaStream.str(), viaWhole.str())
-            << c.model->name() << "/" << c.tr.name;
-    }
-}
-
-TEST(TraceStreaming, SchemeRejectionMatchesWholeTracePath)
-{
-    // Single-scheme machines reject foreign ops mid-stream with the
-    // byte-identical message their whole-trace run() path throws.
-    const auto cp = ckks::CkksParams::c1();
-    const auto tp = tfhe::TfheParams::t4();
-    struct Case
-    {
-        std::unique_ptr<sim::AcceleratorModel> model;
-        Trace tr;
-    };
-    std::vector<Case> cases;
-    cases.push_back({std::make_unique<sim::SharpModel>(),
-                     workloads::pbsThroughput(tp, 16)});
-    cases.push_back({std::make_unique<sim::StrixModel>(),
-                     workloads::helr(cp, 2)});
-    for (const Case &c : cases) {
-        std::string wholeWhat;
-        try {
-            c.model->compile(c.tr);
-            FAIL() << c.model->name() << " accepted a foreign scheme";
-        } catch (const ConfigError &e) {
-            wholeWhat = e.what();
-        }
-        std::istringstream is(canon(c.tr));
-        try {
-            c.model->compileStream(is);
-            FAIL() << c.model->name() << " streamed a foreign scheme";
-        } catch (const ConfigError &e) {
-            EXPECT_EQ(std::string(e.what()), wholeWhat)
-                << c.model->name();
-        }
-    }
+    const Trace back = reader.take();
+    EXPECT_EQ(canon(back), text);
+    EXPECT_EQ(trace::contentHash(back), trace::contentHash(big));
 }
 
 } // namespace
